@@ -1,23 +1,13 @@
-// Extension experiment: checkpoint-time scaling with node count, plus the
-// engine's thread-scaling sweep (PR 6).
+// Extension experiment: checkpoint-time scaling with node count.
 //
-// Part 1 — Figures 3 and 4 stop at 4 nodes; this sweep extends the x-axis to
-// 16, separating the two components of the distributed checkpoint time: the
+// Figures 3 and 4 stop at 4 nodes; this sweep extends the x-axis to 16,
+// separating the two components of the distributed checkpoint time: the
 // (parallel) per-node disk write, and the coordination term that grows with
 // membership — the paper's "faster C/R protocols" future-work direction is
 // about attacking the latter, and the forked variant shows how much of it
 // the application actually feels.
-//
-// Part 2 — `--threads N[,N...]` sweeps the sharded engine (DESIGN.md
-// section 13) over worker-thread counts on a 64-host cluster and reports
-// aggregate and per-shard simulator throughput. The simulation itself is
-// bit-identical at every thread count (tests/shard_determinism_test.cpp);
-// only the host-side wall clock may change. Event totals are printed so a
-// reader can verify the invariance from the bench output alone.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "ckpt/image.hpp"
@@ -42,77 +32,11 @@ double run_once(uint32_t nodes, bool forked) {
   return benchutil::measure_epoch_seconds(cluster, "scale");
 }
 
-struct ThreadRun {
-  unsigned threads = 0;
-  uint64_t host_ns = 0;
-  uint64_t events = 0;
-  uint64_t sim_ns = 0;
-  uint64_t epochs = 0;
-  std::vector<uint64_t> shard_events;
-};
-
-/// One fixed workload — a 64-host daemon group running a 64-rank token ring
-/// with periodic coordinated checkpoints — executed on `threads` shards for
-/// two seconds of virtual time.
-ThreadRun run_threads(unsigned threads, uint32_t hosts) {
-  core::ClusterOptions opts;
-  opts.nodes = hosts;
-  opts.shards = threads;
-  core::Cluster cluster(opts);
-  cluster.registry().register_vm("ring", benchutil::ring_program(/*rounds=*/1000,
-                                                                 /*spin=*/2000));
-  daemon::JobSpec job;
-  job.name = "sweep";
-  job.binary = "ring";
-  job.nprocs = hosts;
-  job.protocol = daemon::CrProtocol::kStopAndSync;
-  job.level = daemon::CkptLevel::kVm;
-  job.ckpt_interval = sim::milliseconds(250);
-  cluster.submit(job);
-
-  ThreadRun r;
-  r.threads = threads;
-  const benchutil::HostTimer timer;
-  cluster.run_for(sim::seconds(2.0));
-  r.host_ns = timer.ns();
-  r.events = cluster.engine().events_executed();
-  r.sim_ns = static_cast<uint64_t>(cluster.engine().now());
-  r.epochs = cluster.engine().epochs();
-  // Parallel mode has threads+1 shards: index 0 is the control plane's
-  // (stop-the-world events), 1..threads are the host workers.
-  const unsigned shard_total = threads == 1 ? 1 : threads + 1;
-  for (unsigned s = 0; s < shard_total; ++s) {
-    r.shard_events.push_back(cluster.engine().shard_events(s));
-  }
-  return r;
-}
-
-std::vector<unsigned> parse_threads(const std::string& spec) {
-  std::vector<unsigned> out;
-  std::string cur;
-  for (const char c : spec + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(static_cast<unsigned>(std::atoi(cur.c_str())));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  for (const unsigned t : out) {
-    if (t == 0) {
-      std::fprintf(stderr, "--threads: counts must be positive integers\n");
-      std::exit(2);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchutil::JsonReporter json(argc, argv);
   benchutil::MetricsReporter metrics(argc, argv);
-  const std::string threads_spec = benchutil::flag_value(argc, argv, "--threads");
 
   benchutil::header("Node-count scaling of stop-and-sync (1.25 MB images per rank)");
   std::printf("extends Figures 3/4 beyond the paper's 4 nodes; the disk term stays\n"
@@ -132,54 +56,6 @@ int main(int argc, char** argv) {
               "the member count (serial quiesce/ack collection at the initiator);\n"
               "the forked variant pays the same commit latency but the application\n"
               "itself resumes after the snapshot, so its *felt* cost stays flat.\n");
-
-  // ------------------------------------------------- thread-scaling sweep ----
-  const std::vector<unsigned> sweep =
-      threads_spec.empty() ? std::vector<unsigned>{1, 2, 4} : parse_threads(threads_spec);
-  constexpr uint32_t kSweepHosts = 64;
-  std::printf("\n");
-  benchutil::header("Engine thread-scaling sweep (64-host group, 64-rank ring, 2 s virtual)");
-  std::printf("same seed at every thread count -> identical virtual history; the\n"
-              "columns that may differ are host wall-clock and events/s. Speedup is\n"
-              "bounded by the host's core count (nproc decides, not --threads).\n\n");
-  std::printf("%8s %12s %12s %14s %10s %8s\n", "threads", "host [ms]", "events",
-              "events/s", "speedup", "epochs");
-  double base_eps = 0.0;
-  uint64_t base_events = 0;
-  for (const unsigned threads : sweep) {
-    const ThreadRun r = run_threads(threads, kSweepHosts);
-    const double host_s = static_cast<double>(r.host_ns) / 1e9;
-    const double eps = host_s > 0 ? static_cast<double>(r.events) / host_s : 0.0;
-    if (base_eps == 0.0) {
-      base_eps = eps;
-      base_events = r.events;
-    }
-    std::printf("%8u %12.1f %12llu %14.3g %9.2fx %8llu\n", threads, host_s * 1e3,
-                static_cast<unsigned long long>(r.events), eps,
-                base_eps > 0 ? eps / base_eps : 0.0,
-                static_cast<unsigned long long>(r.epochs));
-    if (r.events != base_events) {
-      std::printf("  !! event count diverged from the %u-thread run — determinism bug\n",
-                  sweep.front());
-    }
-    // Per-shard breakdown: how evenly the static host partition spreads the
-    // event load, and what each shard's own dispatch rate was.
-    for (size_t s = 0; s < r.shard_events.size(); ++s) {
-      const double shard_eps =
-          host_s > 0 ? static_cast<double>(r.shard_events[s]) / host_s : 0.0;
-      const bool is_control = threads > 1 && s == 0;
-      std::printf("%8s   shard %2zu%s: %12llu events  %10.3g events/s\n", "", s,
-                  is_control ? " (ctl)" : "",
-                  static_cast<unsigned long long>(r.shard_events[s]), shard_eps);
-    }
-    std::fflush(stdout);
-    json.add({.name = "scaling/threads=" + std::to_string(threads) +
-                      "/hosts=" + std::to_string(kSweepHosts),
-              .host_ns = r.host_ns,
-              .sim_ns = r.sim_ns,
-              .events = r.events,
-              .value = eps});
-  }
 
   json.write("scaling_nodes");
   metrics.write();

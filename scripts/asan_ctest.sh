@@ -16,10 +16,9 @@ cd "$(dirname "$0")/.."
 # including the VM differential tests — under at least one configuration.
 cmake -B build-asan -S . -DSTARFISH_SANITIZE=address -DSTARFISH_VM_SWITCH_DISPATCH=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j
-# Leak checking is off: simulated host crashes abandon ucontext fiber stacks
-# without unwinding, so locals parked on them are unreachable-but-expected.
-# All other ASan checks (overflow, use-after-free, ...) remain fully active.
-export ASAN_OPTIONS="detect_leaks=0:${ASAN_OPTIONS:-}"
+# Leak checking is on: a destroyed Cluster kills and unwinds every fiber
+# (Engine::shutdown), so nothing a fiber frame owns outlives the run.
+export ASAN_OPTIONS="detect_leaks=1:${ASAN_OPTIONS:-}"
 
 if [[ "${STARFISH_UBSAN:-0}" != "0" ]]; then
   cmake -B build-ubsan -S . -DSTARFISH_UBSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -80,7 +80,7 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
   const sim::Time start = engine_.now();
   const net::TransportModel& model = net::model_for(options_.transport);
 
-  // Phase 1 (locked, read-only): price each copy. Warm holders receive only
+  // Phase 1 (read-only): price each copy. Warm holders receive only
   // the payload pages whose fingerprint changed since the image they
   // already hold; cold holders receive the full payload. No state mutates
   // here — the transfer has not happened yet.
@@ -88,28 +88,25 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
   uint64_t total_bytes = 0;
   uint64_t pages_shipped = 0, pages_skipped = 0;
   sim::Duration transfer = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++puts_started_;
-    for (sim::HostId holder : holders) {
-      const HolderCache* cache = nullptr;
-      auto it = holder_caches_.find({holder, key.app, key.rank});
-      if (it != holder_caches_.end()) cache = &it->second;
-      std::vector<uint64_t> hashes;
-      const uint64_t pages = (image.payload.size() + kPageBytes - 1) / kPageBytes;
-      uint64_t ship_bytes = 0;
-      const uint64_t ship = pages_to_ship(image.payload, cache, hashes, &ship_bytes);
-      if (fresh_hashes.empty()) fresh_hashes = std::move(hashes);
-      const uint64_t bytes = kReplicaHeaderBytes + ship_bytes;
-      total_bytes += bytes;
-      pages_shipped += ship;
-      pages_skipped += pages - ship;
-      transfer += holder == writer.id() ? loopback_time(bytes)
-                                        : model.one_way_fixed() + model.wire_time(bytes);
-    }
+  ++puts_started_;
+  for (sim::HostId holder : holders) {
+    const HolderCache* cache = nullptr;
+    auto it = holder_caches_.find({holder, key.app, key.rank});
+    if (it != holder_caches_.end()) cache = &it->second;
+    std::vector<uint64_t> hashes;
+    const uint64_t pages = (image.payload.size() + kPageBytes - 1) / kPageBytes;
+    uint64_t ship_bytes = 0;
+    const uint64_t ship = pages_to_ship(image.payload, cache, hashes, &ship_bytes);
+    if (fresh_hashes.empty()) fresh_hashes = std::move(hashes);
+    const uint64_t bytes = kReplicaHeaderBytes + ship_bytes;
+    total_bytes += bytes;
+    pages_shipped += ship;
+    pages_skipped += pages - ship;
+    transfer += holder == writer.id() ? loopback_time(bytes)
+                                      : model.one_way_fixed() + model.wire_time(bytes);
   }
 
-  // Phase 2 (unlocked): the transfer itself, streamed in bounded chunks
+  // Phase 2: the transfer itself, streamed in bounded chunks
   // (net/chunk.hpp) — the in-flight window stays a few hundred KB however
   // large the epoch is, and the chunk sleeps sum exactly to the monolithic
   // time. A writer crash lands here — the fiber is killed inside a chunk
@@ -117,32 +114,28 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
   // (commit-after-transfer).
   net::chunked_sleep(engine_, transfer, total_bytes);
 
-  // Phase 3 (locked): install. Holders that died during the transfer are
-  // dropped; their memory is gone. Mutations are commutative: identical
-  // re-puts overwrite with identical content, holder sets union, caches
-  // install under epoch-max.
+  // Phase 3: install. Holders that died during the transfer are dropped;
+  // their memory is gone. Identical re-puts overwrite with identical
+  // content, holder sets union, caches install under epoch-max.
   uint64_t survivors = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++puts_committed_;
-    Entry* entry = nullptr;
-    for (sim::HostId holder : holders) {
-      if (!alive_(holder)) continue;
-      ++survivors;
-      if (entry == nullptr) {
-        entry = &entries_[key];
-        entry->image = image;
-      }
-      entry->holders.insert(holder);
-      HolderCache& cache = holder_caches_[{holder, key.app, key.rank}];
-      if (key.epoch >= cache.epoch) {
-        cache.hashes = fresh_hashes;
-        cache.payload_len = image.payload.size();
-        cache.epoch = key.epoch;
-      }
+  ++puts_committed_;
+  Entry* entry = nullptr;
+  for (sim::HostId holder : holders) {
+    if (!alive_(holder)) continue;
+    ++survivors;
+    if (entry == nullptr) {
+      entry = &entries_[key];
+      entry->image = image;
     }
-    bytes_shipped_ += total_bytes;
+    entry->holders.insert(holder);
+    HolderCache& cache = holder_caches_[{holder, key.app, key.rank}];
+    if (key.epoch >= cache.epoch) {
+      cache.hashes = fresh_hashes;
+      cache.payload_len = image.payload.size();
+      cache.epoch = key.epoch;
+    }
   }
+  bytes_shipped_ += total_bytes;
 
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.replica.puts").add(1);
@@ -163,17 +156,11 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
 }
 
 std::optional<Image> ReplicaStore::get(sim::Host& reader, const CkptKey& key) {
-  std::optional<Image> found;
-  bool local = false;
-  uint64_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.holders.empty()) return std::nullopt;
-    found = it->second.image;
-    local = it->second.holders.contains(reader.id());
-    bytes = kReplicaHeaderBytes + found->payload.size();
-  }
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.holders.empty()) return std::nullopt;
+  std::optional<Image> found = it->second.image;
+  const bool local = it->second.holders.contains(reader.id());
+  const uint64_t bytes = kReplicaHeaderBytes + found->payload.size();
   // An in-memory copy ships its actual bytes (payload + header) — no
   // run-time dump accompanies it, unlike the modeled disk file. Remote
   // fetch pays request + response fixed costs plus the wire.
@@ -193,27 +180,23 @@ std::optional<Image> ReplicaStore::get(sim::Host& reader, const CkptKey& key) {
 }
 
 bool ReplicaStore::contains(const CkptKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   return it != entries_.end() && !it->second.holders.empty();
 }
 
 std::optional<uint64_t> ReplicaStore::file_bytes(const CkptKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.holders.empty()) return std::nullopt;
   return it->second.image.file_bytes;
 }
 
 void ReplicaStore::put_meta(const CkptKey& key, util::Bytes meta) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;  // no copy to ride with; caller keeps disk meta
   it->second.meta = std::move(meta);
 }
 
 std::optional<util::Bytes> ReplicaStore::checkpoint_meta(const CkptKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || !it->second.meta) return std::nullopt;
   return it->second.meta;
@@ -221,7 +204,6 @@ std::optional<util::Bytes> ReplicaStore::checkpoint_meta(const CkptKey& key) con
 
 std::optional<uint64_t> ReplicaStore::latest_stored(const std::string& app,
                                                     uint32_t rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::optional<uint64_t> best;
   for (const auto& [key, entry] : entries_) {
     if (key.app == app && key.rank == rank && !entry.holders.empty()) {
@@ -231,7 +213,7 @@ std::optional<uint64_t> ReplicaStore::latest_stored(const std::string& app,
   return best;
 }
 
-bool ReplicaStore::recoverable_locked(const CkptKey& key) const {
+bool ReplicaStore::recoverable(const CkptKey& key) const {
   CkptKey at = key;
   for (;;) {
     auto it = entries_.find(at);
@@ -253,13 +235,8 @@ bool ReplicaStore::recoverable_locked(const CkptKey& key) const {
   }
 }
 
-bool ReplicaStore::recoverable(const CkptKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recoverable_locked(key);
-}
 
 bool ReplicaStore::corrupt_payload(const CkptKey& key, size_t offset, bool truncate) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.holders.empty()) return false;
   util::Bytes& payload = it->second.image.payload;
@@ -274,22 +251,19 @@ bool ReplicaStore::corrupt_payload(const CkptKey& key, size_t offset, bool trunc
 
 void ReplicaStore::on_host_crash(sim::HostId host) {
   uint64_t lost = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      lost += it->second.holders.erase(host);
-      if (it->second.holders.empty()) {
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    lost += it->second.holders.erase(host);
+    if (it->second.holders.empty()) {
+      it = entries_.erase(it);
+    } else {
+      ++it;
     }
-    for (auto it = holder_caches_.begin(); it != holder_caches_.end();) {
-      if (std::get<0>(it->first) == host) {
-        it = holder_caches_.erase(it);
-      } else {
-        ++it;
-      }
+  }
+  for (auto it = holder_caches_.begin(); it != holder_caches_.end();) {
+    if (std::get<0>(it->first) == host) {
+      it = holder_caches_.erase(it);
+    } else {
+      ++it;
     }
   }
   if (obs::Hub* hub = engine_.obs()) {
@@ -299,7 +273,7 @@ void ReplicaStore::on_host_crash(sim::HostId host) {
 
 void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_t rank,
                              const std::vector<sim::HostId>& holders) {
-  // Phase 1 (locked, read-only): which (entry, holder) copies are missing,
+  // Phase 1 (read-only): which (entry, holder) copies are missing,
   // and what each costs. Warm caches make repeat rebalances cheap.
   struct Shipment {
     CkptKey key;
@@ -310,58 +284,52 @@ void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_
   std::vector<Shipment> ships;
   sim::Duration transfer = 0;
   const net::TransportModel& model = net::model_for(options_.transport);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, entry] : entries_) {
-      if (key.app != app || key.rank != rank || entry.holders.empty()) continue;
-      for (sim::HostId holder : holders) {
-        if (entry.holders.contains(holder) || !alive_(holder)) continue;
-        const HolderCache* cache = nullptr;
-        auto it = holder_caches_.find({holder, app, rank});
-        if (it != holder_caches_.end()) cache = &it->second;
-        Shipment s;
-        s.key = key;
-        s.holder = holder;
-        uint64_t ship_bytes = 0;
-        pages_to_ship(entry.image.payload, cache, s.hashes, &ship_bytes);
-        s.bytes = kReplicaHeaderBytes + ship_bytes;
-        transfer += holder == shipper.id()
-                        ? loopback_time(s.bytes)
-                        : model.one_way_fixed() + model.wire_time(s.bytes);
-        ships.push_back(std::move(s));
-      }
+  for (const auto& [key, entry] : entries_) {
+    if (key.app != app || key.rank != rank || entry.holders.empty()) continue;
+    for (sim::HostId holder : holders) {
+      if (entry.holders.contains(holder) || !alive_(holder)) continue;
+      const HolderCache* cache = nullptr;
+      auto it = holder_caches_.find({holder, app, rank});
+      if (it != holder_caches_.end()) cache = &it->second;
+      Shipment s;
+      s.key = key;
+      s.holder = holder;
+      uint64_t ship_bytes = 0;
+      pages_to_ship(entry.image.payload, cache, s.hashes, &ship_bytes);
+      s.bytes = kReplicaHeaderBytes + ship_bytes;
+      transfer += holder == shipper.id()
+                      ? loopback_time(s.bytes)
+                      : model.one_way_fixed() + model.wire_time(s.bytes);
+      ships.push_back(std::move(s));
     }
   }
   if (ships.empty()) return;
 
-  // Phase 2 (unlocked): the transfer, streamed in bounded chunks. Same
+  // Phase 2: the transfer, streamed in bounded chunks. Same
   // commit-after-transfer rule as put — a crashed shipper leaves the
   // holder sets untouched.
   uint64_t planned_bytes = 0;
   for (const Shipment& s : ships) planned_bytes += s.bytes;
   net::chunked_sleep(engine_, transfer, planned_bytes);
 
-  // Phase 3 (locked): union the new holders in. Entries gc'd or
+  // Phase 3: union the new holders in. Entries gc'd or
   // invalidated during the transfer are skipped (nothing to extend).
   uint64_t shipped_bytes = 0, copies = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Shipment& s : ships) {
-      auto it = entries_.find(s.key);
-      if (it == entries_.end() || it->second.holders.empty()) continue;
-      if (!alive_(s.holder)) continue;
-      it->second.holders.insert(s.holder);
-      HolderCache& cache = holder_caches_[{s.holder, app, rank}];
-      if (s.key.epoch >= cache.epoch) {
-        cache.hashes = s.hashes;
-        cache.payload_len = it->second.image.payload.size();
-        cache.epoch = s.key.epoch;
-      }
-      shipped_bytes += s.bytes;
-      ++copies;
+  for (const Shipment& s : ships) {
+    auto it = entries_.find(s.key);
+    if (it == entries_.end() || it->second.holders.empty()) continue;
+    if (!alive_(s.holder)) continue;
+    it->second.holders.insert(s.holder);
+    HolderCache& cache = holder_caches_[{s.holder, app, rank}];
+    if (s.key.epoch >= cache.epoch) {
+      cache.hashes = s.hashes;
+      cache.payload_len = it->second.image.payload.size();
+      cache.epoch = s.key.epoch;
     }
-    bytes_shipped_ += shipped_bytes;
+    shipped_bytes += s.bytes;
+    ++copies;
   }
+  bytes_shipped_ += shipped_bytes;
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.replica.rebalance_ships").add(copies);
     hub->metrics.counter("ckpt.replica.bytes_shipped").add(shipped_bytes);
@@ -369,14 +337,12 @@ void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_
 }
 
 size_t ReplicaStore::gc(const std::string& app, uint64_t keep_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
   return std::erase_if(entries_, [&](const auto& entry) {
     return entry.first.app == app && entry.first.epoch < keep_epoch;
   });
 }
 
 uint64_t ReplicaStore::content_hash() const {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](const void* data, size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -408,28 +374,7 @@ uint64_t ReplicaStore::content_hash() const {
   return h;
 }
 
-size_t ReplicaStore::entry_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-uint64_t ReplicaStore::bytes_shipped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_shipped_;
-}
-
-uint64_t ReplicaStore::puts_started() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return puts_started_;
-}
-
-uint64_t ReplicaStore::puts_committed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return puts_committed_;
-}
-
 bool ReplicaStore::validate(std::string* why) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, entry] : entries_) {
     const std::string name =
         key.app + "/r" + std::to_string(key.rank) + "/e" + std::to_string(key.epoch);

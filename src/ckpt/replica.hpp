@@ -17,12 +17,7 @@
 // Placement is a pure function of the application's rank -> host map (the
 // placement every daemon and process already derives deterministically from
 // the GCS view), so *writers compute holder sets locally* — no shared
-// placement state exists to race on. The store itself is cluster-wide
-// shared memory reached from every engine shard; the same contract as the
-// disk store applies: a mutex guards the maps, network time is charged
-// strictly outside the lock, and all mutations are commutative (holder-set
-// unions, epoch-max cache installs, content-identical overwrites) so the
-// final state is bit-identical at any STARFISH_SHARDS value.
+// placement state is needed.
 //
 // Durability rule (commit-after-transfer): a put mutates nothing until the
 // full transfer time has elapsed. The putter crashing mid-transfer kills
@@ -35,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -76,9 +70,7 @@ std::vector<sim::HostId> replica_holders(const std::vector<sim::HostId>& rank_ho
 
 class ReplicaStore {
  public:
-  /// `alive` tells the store which hosts still hold memory; it must only
-  /// change during serial control phases (host crashes are control-plane
-  /// operations), so reads from parallel phases are stable.
+  /// `alive` tells the store which hosts still hold memory.
   ReplicaStore(sim::Engine& engine, ReplicaOptions options,
                std::function<bool(sim::HostId)> alive);
 
@@ -122,15 +114,14 @@ class ReplicaStore {
 
   /// Crash invalidation: drops every copy `host` held (its memory is
   /// gone) and forgets its warm-transfer caches. Entries left with no
-  /// holder are erased. Serial control phases only (same contract as
-  /// Network::crash_host, which drives this through the crash hook).
+  /// holder are erased. Network::crash_host drives this through the crash
+  /// hook.
   void on_host_crash(sim::HostId host);
 
   /// Re-replication after a placement change: ships every surviving entry
   /// of (app, rank) to the holders in `holders` that lack a copy, charging
-  /// `shipper`'s fiber the network time. Idempotent and commutative —
-  /// concurrent rebalances toward the same target placement union to the
-  /// same holder sets.
+  /// `shipper`'s fiber the network time. Idempotent: rebalances toward the
+  /// same target placement union to the same holder sets.
   void rebalance(sim::Host& shipper, const std::string& app, uint32_t rank,
                  const std::vector<sim::HostId>& holders);
 
@@ -140,16 +131,16 @@ class ReplicaStore {
 
   /// FNV-1a over every entry (key, image fields, payload, sorted holders,
   /// meta) plus the warm-transfer caches, in map order. Zero-cost; the
-  /// shard-determinism suite compares it across STARFISH_SHARDS values.
+  /// replay tests compare it across same-seed runs.
   uint64_t content_hash() const;
 
-  size_t entry_count() const;
-  uint64_t bytes_shipped() const;
+  size_t entry_count() const { return entries_.size(); }
+  uint64_t bytes_shipped() const { return bytes_shipped_; }
   /// Commit-after-transfer accounting: puts that began vs. puts whose
   /// install completed. The difference counts transfers aborted by a
   /// crash (the chaos suite asserts those left no copy behind).
-  uint64_t puts_started() const;
-  uint64_t puts_committed() const;
+  uint64_t puts_started() const { return puts_started_; }
+  uint64_t puts_committed() const { return puts_committed_; }
   /// Invariant check for the chaos suite: every entry has >= 1 holder and
   /// every holder is alive (a dead host appearing as a holder would mean
   /// a mid-transfer crash leaked a partial copy). Returns false and fills
@@ -158,8 +149,9 @@ class ReplicaStore {
 
  private:
   /// Warm-transfer state: fingerprints of the payload this holder last
-  /// received for (app, rank), plus the epoch it describes. Epoch-max
-  /// install keeps the contents independent of wall-clock interleaving.
+  /// received for (app, rank), plus the epoch it describes (installed
+  /// under epoch-max, so a late rebalance of an older epoch never
+  /// overwrites a newer cache).
   struct HolderCache {
     std::vector<uint64_t> hashes;
     uint64_t payload_len = 0;
@@ -178,12 +170,10 @@ class ReplicaStore {
   /// (tail pages count their real length, not a full 4 KB).
   static uint64_t pages_to_ship(const util::Bytes& payload, const HolderCache* cache,
                                 std::vector<uint64_t>& fresh, uint64_t* ship_bytes);
-  bool recoverable_locked(const CkptKey& key) const;
 
   sim::Engine& engine_;
   ReplicaOptions options_;
   std::function<bool(sim::HostId)> alive_;
-  mutable std::mutex mu_;
   std::map<CkptKey, Entry> entries_;
   std::map<HolderKey, HolderCache> holder_caches_;
   uint64_t bytes_shipped_ = 0;

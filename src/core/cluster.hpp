@@ -28,10 +28,6 @@ struct ClusterOptions {
   /// Seed of the engine's RNG (fault-injection draws; 0 is a valid seed).
   /// Two clusters built with the same options and seed replay identically.
   uint64_t seed = 0;
-  /// Engine worker shards (sim::Engine::set_shards): 1 = sequential. Any
-  /// value yields the bit-identical simulation; >1 runs hosts on that many
-  /// threads under conservative time windows (DESIGN.md section 13).
-  unsigned shards = 1;
   /// Checkpoint storage backend (DESIGN.md section 14). Unset: disk, unless
   /// STARFISH_CKPT_BACKEND=replica is exported — the CI lever that drives
   /// whole suites through the diskless path. Set explicitly to pin a

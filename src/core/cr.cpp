@@ -401,8 +401,8 @@ void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes ch
   if (process_.store().backend() == ckpt::CkptBackend::kReplica &&
       process_.store().replicas() != nullptr) {
     // Diskless path: place copies on the peers that follow this rank's
-    // host in the placement ring. Computed from this process's own world
-    // view, so every shard interleaving derives the same holder set.
+    // host in the placement ring, computed from this process's own world
+    // view.
     std::vector<sim::HostId> hosts = process_.rank_hosts();
     if (hosts.empty()) hosts = std::vector<sim::HostId>{process_.host().id()};
     const auto holders = ckpt::replica_holders(

@@ -19,7 +19,6 @@ uint64_t lane_seed(uint64_t engine_seed, size_t src) {
 }  // namespace
 
 void FaultInjector::on_host_added(size_t host_count) {
-  assert(!engine_.in_parallel());
   while (lanes_.size() < host_count) {
     lanes_.emplace_back(lane_seed(engine_.seed(), lanes_.size()));
   }
@@ -27,7 +26,6 @@ void FaultInjector::on_host_added(size_t host_count) {
 
 void FaultInjector::partition(const std::vector<sim::HostId>& a,
                               const std::vector<sim::HostId>& b, bool symmetric) {
-  assert(!engine_.in_parallel());
   for (sim::HostId x : a) {
     for (sim::HostId y : b) {
       if (x == y) continue;
@@ -39,13 +37,11 @@ void FaultInjector::partition(const std::vector<sim::HostId>& a,
 }
 
 void FaultInjector::heal() {
-  assert(!engine_.in_parallel());
   blocked_.clear();
   refresh_enabled();
 }
 
 void FaultInjector::clear() {
-  assert(!engine_.in_parallel());
   default_ = LinkFaults{};
   for (auto& t : transport_) t.reset();
   links_.clear();
@@ -65,7 +61,6 @@ void FaultInjector::refresh_enabled() {
 }
 
 const FaultCounters& FaultInjector::counters() const {
-  assert(!engine_.in_parallel());
   merged_counters_ = FaultCounters{};
   for (const Lane& ln : lanes_) {
     const FaultCounters& c = ln.counters;
@@ -82,10 +77,9 @@ const FaultCounters& FaultInjector::counters() const {
 }
 
 const std::vector<std::string>& FaultInjector::trace() const {
-  assert(!engine_.in_parallel());
   // K-way merge of the per-lane (already time-ordered) streams, keyed by
-  // (time, source host, per-lane index): a total order every shard count
-  // reproduces bit-identically.
+  // (time, source host, per-lane index): a total order same-seed runs
+  // reproduce bit-identically.
   struct Ref {
     sim::Time t;
     sim::HostId src;

@@ -12,16 +12,10 @@ std::string NetAddr::to_string() const {
 
 // --------------------------------------------------------------- Network ---
 
-Network::Network(sim::Engine& engine) : engine_(engine) {
-  // Conservative-window lookahead: no cross-host interaction is faster than
-  // the fastest transport's fixed one-way cost (fault extras only add).
-  engine_.note_min_latency(std::min(model_for(TransportKind::kTcpIp).one_way_fixed(),
-                                    model_for(TransportKind::kBipMyrinet).one_way_fixed()));
-}
+Network::Network(sim::Engine& engine) : engine_(engine) {}
 
 sim::HostPtr Network::add_host(std::string name, const sim::Machine& machine,
                                sim::DiskParams disk) {
-  assert(!engine_.in_parallel());
   auto h = std::make_shared<sim::Host>(engine_, static_cast<sim::HostId>(hosts_.size()),
                                        std::move(name), machine, disk);
   hosts_.push_back(h);
@@ -76,7 +70,7 @@ void Network::transmit(TransportKind kind, Packet packet) {
   if (faults_.enabled()) {
     const auto verdict = faults_.datagram_verdict(packet, kind);
     if (verdict.drop) {
-      packets_sent_.fetch_add(1, std::memory_order_relaxed);  // the wire lost it
+      ++packets_sent_;  // the wire lost it
       note_packet(packet, 0, /*delivered=*/false);
       return;
     }
@@ -85,7 +79,7 @@ void Network::transmit(TransportKind kind, Packet packet) {
   }
   if (packet.dst.host >= hosts_.size()) {
     // No such host: the datagram went on the wire and nothing can receive it.
-    packets_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++packets_sent_;
     note_packet(packet, 0, /*delivered=*/false);
     return;
   }
@@ -93,13 +87,12 @@ void Network::transmit(TransportKind kind, Packet packet) {
   // sent earlier on the same pair — both TCP streams and BIP channels
   // deliver in order, and the gcs flush protocol relies on it. Injected
   // extra latency lands before this clamp, so faults never reorder a pair.
-  // The clamp state lives with the source host, so it is shard-local.
   HostNet& src = per_host(packet.src.host);
   const sim::Time now = engine_.now();
   sim::Time& last = src.last_delivery[{packet.src, packet.dst}];
   const sim::Time arrival = std::max(now + delay, last + 1);
   last = arrival;
-  packets_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++packets_sent_;
   note_packet(packet, arrival - now, /*delivered=*/true);
   const sim::NodeId dst_node = hosts_[packet.dst.host]->node();
   Packet second;
@@ -110,7 +103,7 @@ void Network::transmit(TransportKind kind, Packet packet) {
   if (duplicate) {
     const sim::Time dup_arrival = last + 1;
     last = dup_arrival;
-    packets_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++packets_sent_;
     note_packet(second, dup_arrival - now, /*delivered=*/true);
     engine_.schedule_on(dst_node, dup_arrival - now,
                         [this, packet = std::move(second)]() mutable {
@@ -182,14 +175,12 @@ struct Connection::State {
   sim::Channel<util::SharedBytes> inbox[2];  // inbox[s] is read by side s
   sim::Time last_arrival[2] = {0, 0};  // latest scheduled delivery per inbox
   /// Side s stops sending once set: its own close()/reset, or the peer's
-  /// FIN/RST arrived. closed_by[s] is written only from side s's shard (or
-  /// serial phases), which is what makes the state lock-free.
+  /// FIN/RST arrived.
   bool closed_by[2] = {false, false};
-  /// The server host registered the connection (SYN arrival). Written on
-  /// the server node at t+1ow, read by the client at t+2ow: always
-  /// separated by a window barrier because one_way >= lookahead.
+  /// The server host registered the connection (SYN arrival at t+1ow; the
+  /// client reads it at t+2ow).
   bool accepted = false;
-  bool crashed = false;  // host failure (serial phases); in-flight is lost
+  bool crashed = false;  // host failure; in-flight is lost
 };
 
 Connection::Connection(Network& net, std::shared_ptr<State> state, sim::HostId local,
@@ -308,10 +299,9 @@ ConnectionPtr Network::connect(sim::HostId from, NetAddr dst, TransportKind kind
   auto server_end = ConnectionPtr(new Connection(*this, state, dst.host, from, 1));
   auto client_end = ConnectionPtr(new Connection(*this, state, from, dst.host, 0));
 
-  // The SYN is an event on the server host's node: the listener table is
-  // only ever examined by the shard that owns it, one latency after the
-  // call (a connect can no longer see a listener the same instant it is
-  // created on another host — real SYNs travel too).
+  // The SYN is an event on the server host's node, one latency after the
+  // call (a connect cannot see a listener the same instant it is created
+  // on another host — real SYNs travel too).
   engine_.schedule_on(state->nodes[1], one_way, [this, dst, kind, state, server_end]() mutable {
     if (state->crashed || !host_alive(state->hosts[0]) || !host_alive(state->hosts[1])) return;
     HostNet& hn = per_host(dst.host);
@@ -321,9 +311,7 @@ ConnectionPtr Network::connect(sim::HostId from, NetAddr dst, TransportKind kind
     state->accepted = true;
     it->second->backlog_.send(std::move(server_end));
   });
-  // SYN + SYN/ACK round trip before the caller may use the connection. The
-  // accepted flag written at t+1ow is barrier-ordered before this read at
-  // t+2ow (one_way >= lookahead, so the two events cannot share a window).
+  // SYN + SYN/ACK round trip before the caller may use the connection.
   engine_.sleep(2 * one_way);
   if (!state->accepted || state->crashed || state->closed_by[0] || !host_alive(from) ||
       !host_alive(dst.host)) {
@@ -334,7 +322,6 @@ ConnectionPtr Network::connect(sim::HostId from, NetAddr dst, TransportKind kind
 
 void Network::crash_host(sim::HostId id) {
   assert(id < hosts_.size());
-  assert(!engine_.in_parallel() && "crash_host is a control-plane (serial) operation");
   hosts_[id]->crash();
 
   // Drop bindings and listeners on the dead host; close() mutates the maps,

@@ -11,16 +11,12 @@
 // readers wake with kClosed — exactly the failure surface the daemons'
 // failure detector and the C/R protocols must handle.
 //
-// Sharding contract (DESIGN.md section 13): all mutable routing state is
-// partitioned per host. Send-side work (fault verdicts, FIFO clamps, obs)
-// runs on the source host's shard against source-host state; arrival-side
-// work (binding/listener lookups, inbox delivery) is an event scheduled on
-// the destination host's node. Cross-host traffic always travels at least
-// one transport one-way latency, which the constructor reports to the
-// engine as its conservative-window lookahead.
+// Routing state is kept per host. Send-side work (fault verdicts, FIFO
+// clamps, obs) runs against source-host state; arrival-side work
+// (binding/listener lookups, inbox delivery) is an event scheduled on the
+// destination host's node.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -191,19 +187,18 @@ class Network {
   AcceptorPtr listen(sim::HostId host, Port port, TransportKind kind);
   /// Blocks ~1 RTT; nullptr if nobody listens at dst or a host is dead. The
   /// SYN travels as an event to the server host, where the listener table
-  /// is examined by its owning shard.
+  /// is examined.
   ConnectionPtr connect(sim::HostId from, NetAddr dst, TransportKind kind);
 
   /// Total messages put on the wire (for tests/benches).
-  uint64_t packets_sent() const { return packets_sent_.load(std::memory_order_relaxed); }
+  uint64_t packets_sent() const { return packets_sent_; }
 
  private:
   friend class DatagramEndpoint;
   friend class Connection;
   friend class Acceptor;
 
-  /// Mutable fabric state owned by one host — touched only from that host's
-  /// shard (or serial phases), so no locks anywhere on the data path.
+  /// Mutable fabric state owned by one host.
   struct HostNet {
     std::map<Port, DatagramEndpoint*> bindings;
     std::map<Port, Acceptor*> listeners;
@@ -244,10 +239,10 @@ class Network {
   FaultInjector faults_{engine_};
   std::vector<std::function<void(sim::HostId)>> crash_hooks_;
   std::vector<sim::HostPtr> hosts_;
-  /// unique_ptr for address stability: add_host (serial) may grow the
-  /// vector while shards hold references across windows.
+  /// unique_ptr for address stability: add_host may grow the vector while
+  /// callers hold references.
   std::vector<std::unique_ptr<HostNet>> per_host_;
-  std::atomic<uint64_t> packets_sent_{0};
+  uint64_t packets_sent_ = 0;
 };
 
 }  // namespace starfish::net

@@ -11,7 +11,6 @@ void Tracer::push(TraceEvent ev) {
   TraceOrder& ord = trace_order();
   ev.order = ord;
   ++ord.emission;
-  std::lock_guard<std::mutex> lock(mu_);
   ++recorded_;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(ev));
@@ -46,42 +45,33 @@ void Tracer::instant(uint64_t ts, const char* category, std::string name, uint32
 }
 
 size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return ring_.size();
 }
 
 uint64_t Tracer::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return recorded_;
 }
 
 uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return recorded_ - ring_.size();
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(ring_.size());
-    // Once full, `next_` points at the oldest retained event.
-    const size_t start = ring_.size() < capacity_ ? 0 : next_;
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(start + i) % ring_.size()]);
-    }
+  out.reserve(ring_.size());
+  // Once full, `next_` points at the oldest retained event.
+  const size_t start = ring_.size() < capacity_ ? 0 : next_;
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(start + i) % ring_.size()]);
   }
-  // Logical order, independent of which thread pushed first. stable_sort:
-  // records from outside any engine event (equal stamps cannot happen from
-  // concurrent shards, which always run inside stamped events) keep record
-  // order.
+  // Logical order. stable_sort: records with equal stamps (emitted outside
+  // any engine event) keep record order.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.order < b.order; });
   return out;
 }
 
 void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
   next_ = 0;
   recorded_ = 0;

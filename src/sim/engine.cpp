@@ -4,24 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <limits>
 
 #include "util/log.hpp"
 #include "util/simd/simd.hpp"
-
-#if STARFISH_TSAN_FIBER_API
-// ThreadSanitizer's fiber API: announces each stack switch so TSan keeps a
-// per-fiber shadow stack. Opt-in (see sim/context.hpp) — gcc's libtsan
-// crashes when the API is used, and its swapcontext interceptor already
-// tracks the switches well enough to run the suite clean without it.
-extern "C" {
-void* __tsan_get_current_fiber();
-void* __tsan_create_fiber(unsigned flags);
-void __tsan_destroy_fiber(void* fiber);
-void __tsan_switch_to_fiber(void* fiber, unsigned flags);
-}
-#endif
 
 namespace starfish::sim {
 
@@ -45,9 +31,8 @@ Fiber::Fiber(Engine& engine, NodeId node, std::string name, std::function<void()
       name_(std::move(name)),
       id_((static_cast<uint64_t>(node) << 32) | engine.nodes_[node].next_fiber++),
       node_(node),
-      home_(engine.shards_[engine.nodes_[node].shard].get()),
       body_(std::move(body)),
-      pool_(home_->stack_pool) {
+      pool_(engine.stack_pool_) {
   const StackPool::Allocation alloc = pool_->acquire(kStackBytes);
   stack_base_ = alloc.base;
   stack_total_ = alloc.total;
@@ -66,13 +51,10 @@ Fiber::Fiber(Engine& engine, NodeId node, std::string name, std::function<void()
   getcontext(&context_);
   context_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
   context_.uc_stack.ss_size = stack_total_ - static_cast<size_t>(page);
-  context_.uc_link = &home_->main_context;
+  context_.uc_link = &engine.main_context_;
   const uintptr_t p = reinterpret_cast<uintptr_t>(this);
   makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline_entry), 2,
               static_cast<unsigned>(p >> 32), static_cast<unsigned>(p & 0xffffffffu));
-#endif
-#if STARFISH_TSAN_FIBER_API
-  tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 }
 
@@ -83,33 +65,24 @@ void Fiber::release_stack() {
     pool_->release(stack_base_, stack_total_);
     stack_base_ = nullptr;
   }
-#if STARFISH_TSAN_FIBER_API
-  if (tsan_fiber_ != nullptr) {
-    __tsan_destroy_fiber(tsan_fiber_);
-    tsan_fiber_ = nullptr;
-  }
-#endif
 }
 
 #if STARFISH_FAST_CONTEXT
 void Fiber::fast_entry(void* arg) {
   Fiber* self = static_cast<Fiber*>(arg);
   self->run_body();
-  // The uc_link equivalent: switch back to the home shard's main context for
+  // The uc_link equivalent: switch back to the engine's main context for
   // good. The engine observes kFinished there and never resumes this context
   // again.
-  starfish_ctx_swap(&self->ctx_sp_, self->home_->main_sp);
+  starfish_ctx_swap(&self->ctx_sp_, self->engine_.main_sp_);
   // Unreachable (the asm entry stub ud2s if entry ever returns).
 }
 #else
 void Fiber::trampoline_entry(unsigned hi, unsigned lo) {
   Fiber* self = unpack_fiber(hi, lo);
   self->run_body();
-#if STARFISH_TSAN_FIBER_API
-  __tsan_switch_to_fiber(self->home_->tsan_main, 0);
-#endif
-  // Returning lets ucontext switch to uc_link (the home shard's main
-  // context); the engine observes kFinished there.
+  // Returning lets ucontext switch to uc_link (the engine's main context);
+  // the engine observes kFinished there.
 }
 #endif
 
@@ -122,7 +95,6 @@ void Fiber::run_body() {
     STARFISH_LOG(kError, "sim") << "fiber '" << name_ << "' died with exception: " << e.what();
   }
   state_ = FiberState::kFinished;
-  engine_.fiber_exited();
 }
 
 // ----------------------------------------------------------- structures ----
@@ -174,18 +146,15 @@ void ReadyQueue::grow() {
 
 Engine::Engine(uint64_t seed) : seed_(seed), rng_(seed) {
   nodes_.emplace_back();  // node 0: the control plane
-  shards_.push_back(std::make_unique<Shard>());
-  shards_[0]->outbox.resize(1);
   set_obs(obs::default_hub());
 }
 
 Engine::~Engine() {
-  stop_threads();
   // Unblockable cleanup: any still-suspended fiber stacks are released
   // without unwinding (back into the stack pool, which the last owner
-  // unmaps). Long-lived simulations should kill fibers and drain the queue
-  // before destroying the engine; tests that end mid-simulation rely on
-  // this path.
+  // unmaps). Long-lived simulations should call shutdown() (or kill fibers
+  // and drain the queue) before destroying the engine; tests that end
+  // mid-simulation rely on this path.
 }
 
 void Engine::set_obs(obs::Hub* hub) {
@@ -207,48 +176,24 @@ void Engine::set_obs(obs::Hub* hub) {
   obs_stack_misses_ = hub ? &hub->metrics.counter("sim.stack_pool.misses") : nullptr;
 }
 
-void Engine::set_shards(unsigned n) {
-  if (n == 0) n = 1;
-  assert(nodes_.size() == 1 && "set_shards must precede host/node registration");
-  assert(idle() && shards_[0]->fibers.empty() && "set_shards on a non-empty engine");
-  stop_threads();
-  shard_count_ = n;
-  shards_.clear();
-  const size_t total = n == 1 ? 1 : static_cast<size_t>(n) + 1;
-  shards_.reserve(total);
-  for (size_t i = 0; i < total; ++i) shards_.push_back(std::make_unique<Shard>());
-  for (auto& s : shards_) s->outbox.resize(total);
-  nodes_[0].shard = 0;
-}
-
 NodeId Engine::register_node() {
-  assert(!parallel_active_ && "register_node from a parallel window");
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  NodeState st;
-  // Round-robin hosts over worker shards; shard 0 is the control plane's.
-  st.shard = shard_count_ == 1 ? 0 : 1 + (id - 1) % shard_count_;
-  nodes_.push_back(st);
+  nodes_.emplace_back();
   return id;
 }
 
 FiberPtr Engine::spawn(std::string name, std::function<void()> body, Duration delay) {
-  const ExecCtx& c = tls_;
-  return spawn_on(c.engine == this ? c.node : kControlNode, std::move(name), std::move(body),
-                  delay);
+  return spawn_on(exec_node_, std::move(name), std::move(body), delay);
 }
 
 FiberPtr Engine::spawn_on(NodeId node, std::string name, std::function<void()> body,
                           Duration delay) {
   assert(node < nodes_.size());
-  Shard* home = shards_[nodes_[node].shard].get();
-  assert((!parallel_active_ || tls_.shard == home) && "cross-shard spawn from a parallel window");
   auto fiber = std::make_shared<Fiber>(*this, node, std::move(name), std::move(body));
-  home->fibers.push_back(fiber);
+  fibers_.push_back(fiber);
   fiber->state_ = FiberState::kRunnable;
   schedule_on(node, delay, [this, fiber] {
-    if (fiber->state_ == FiberState::kRunnable && !fiber->killed_) {
-      resume(*fiber->home_, fiber.get());
-    }
+    if (fiber->state_ == FiberState::kRunnable && !fiber->killed_) resume(fiber.get());
   });
   return fiber;
 }
@@ -256,110 +201,101 @@ FiberPtr Engine::spawn_on(NodeId node, std::string name, std::function<void()> b
 void Engine::kill(const FiberPtr& fiber) {
   Fiber* f = fiber.get();
   if (f == nullptr || f->finished() || f->killed_) return;
-  assert((!parallel_active_ || tls_.shard == f->home_) &&
-         "cross-shard kill from a parallel window");
   f->killed_ = true;
   if (f->state_ == FiberState::kBlocked) wake(f, WakeReason::kKilled);
   // Runnable-but-not-yet-started fibers simply never start (spawn's start
   // event checks killed_); running fibers throw at their next block.
 }
 
-bool Engine::idle() const {
-  for (const auto& s : shards_) {
-    if (!s->timers.empty() || !s->ready.empty()) return false;
+void Engine::shutdown() {
+  assert(current_ == nullptr && "Engine::shutdown called from inside a fiber");
+  // Teardown is not part of the simulation: nothing the unwinding records
+  // reaches the hub.
+  set_obs(nullptr);
+  // Unwinding runs arbitrary destructors, which may wake or spawn fibers, so
+  // repeat until a pass finds nothing new to kill. Indexing, not iterators:
+  // a spawn during unwinding appends to fibers_.
+  for (bool killed_any = true; killed_any;) {
+    killed_any = false;
+    for (size_t i = 0; i < fibers_.size(); ++i) {
+      const FiberPtr f = fibers_[i];
+      if (f->finished() || f->killed_) continue;
+      kill(f);
+      killed_any = true;
+    }
+    while (!ready_.empty()) dispatch_ready(ready_.pop());
   }
-  return true;
+  // What is left never started: no frame to unwind, only a stack to return.
+  for (const FiberPtr& f : fibers_) {
+    if (f->finished()) continue;
+    f->state_ = FiberState::kFinished;
+    f->release_stack();
+  }
 }
 
-uint64_t Engine::events_executed() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->events;
-  return total;
-}
-
-uint64_t Engine::shard_events(unsigned shard) const {
-  return shard < shards_.size() ? shards_[shard]->events : 0;
-}
-
-void Engine::note_event_dispatched(Shard& s, size_t remaining) {
-  ++s.events;
+void Engine::note_event_dispatched(size_t remaining) {
+  ++events_;
   if (obs_events_ != nullptr) {
     obs_events_->add(1);
-    // The run-queue depth histogram is only populated sequentially: per-
-    // shard depths depend on the partition, and recording them would make
-    // the metrics export shard-count-dependent.
-    if (shard_count_ == 1) obs_runq_->record(remaining);
+    obs_runq_->record(remaining);
   }
 }
 
-bool Engine::next_key(const Shard& s, NextKey& out) const {
-  bool have = false;
-  if (!s.timers.empty()) {
-    const TimerEntry& t = s.timers.top();
-    out = NextKey{t.at, t.node, t.seq};
-    have = true;
+void Engine::dispatch_ready(ReadyEntry e) {
+  Fiber* f = e.fiber.get();
+  // Same guards the old wake event applied: the epoch and state checks
+  // make stale or duplicate wakes harmless (the fiber may already have
+  // resumed and re-blocked).
+  if (f->state_ == FiberState::kRunnable && f->wait_epoch_ == e.epoch && !f->finished()) {
+    exec_node_ = f->node_;
+    resume(f);
+    exec_node_ = kControlNode;
   }
-  if (!s.ready.empty()) {
-    const ReadyEntry& r = s.ready.front();
-    if (!have || event_key_before(r.at, r.node, r.seq, out.at, out.node, out.seq)) {
-      out = NextKey{r.at, r.node, r.seq};
-    }
-    have = true;
-  }
-  return have;
 }
 
-bool Engine::dispatch_one(Shard& s, Time deadline) {
+bool Engine::dispatch_one(Time deadline) {
   // Pick the smallest (time, node, seq) across the ready ring and the timer
   // heap. Ready entries carry keys from the same per-node counters timers
-  // draw from, so this interleaving is exactly the global total order.
+  // draw from, so this interleaving is exactly the total order.
   bool take_ready;
-  if (s.ready.empty()) {
-    if (s.timers.empty()) return false;
+  if (ready_.empty()) {
+    if (timers_.empty()) return false;
     take_ready = false;
-  } else if (s.timers.empty()) {
+  } else if (timers_.empty()) {
     take_ready = true;
   } else {
-    const ReadyEntry& r = s.ready.front();
-    const TimerEntry& t = s.timers.top();
+    const ReadyEntry& r = ready_.front();
+    const TimerEntry& t = timers_.top();
     take_ready = event_key_before(r.at, r.node, r.seq, t.at, t.node, t.seq);
   }
 
   if (take_ready) {
-    if (s.ready.front().at > deadline) return false;
-    ReadyEntry e = s.ready.pop();
-    assert(e.at >= s.now);
-    s.now = e.at;
+    if (ready_.front().at > deadline) return false;
+    ReadyEntry e = ready_.pop();
+    assert(e.at >= now_);
+    now_ = e.at;
     // The stamp is only ever read through the hub (Tracer::push), so an
-    // unobserved engine skips the TLS write — it is measurable per event.
+    // unobserved engine skips the write — it is measurable per event.
     if (obs_ != nullptr) obs::trace_order() = obs::TraceOrder{e.at, e.node, e.seq, 0};
-    note_event_dispatched(s, s.timers.size() + s.ready.size());
-    Fiber* f = e.fiber.get();
-    // Same guards the old wake event applied: the epoch and state checks
-    // make stale or duplicate wakes harmless (the fiber may already have
-    // resumed and re-blocked).
-    if (f->state_ == FiberState::kRunnable && f->wait_epoch_ == e.epoch && !f->finished()) {
-      tls_.node = f->node_;
-      resume(s, f);
-      tls_.node = kControlNode;
-    }
+    note_event_dispatched(timers_.size() + ready_.size());
+    dispatch_ready(std::move(e));
   } else {
-    if (s.timers.top().at > deadline) return false;
-    TimerEntry t = s.timers.pop();
-    assert(t.at >= s.now);
-    s.now = t.at;
+    if (timers_.top().at > deadline) return false;
+    TimerEntry t = timers_.pop();
+    assert(t.at >= now_);
+    now_ = t.at;
     if (obs_ != nullptr) obs::trace_order() = obs::TraceOrder{t.at, t.node, t.seq, 0};
-    note_event_dispatched(s, s.timers.size() + s.ready.size());
-    tls_.node = t.event->exec_node;
+    note_event_dispatched(timers_.size() + ready_.size());
+    exec_node_ = t.event->exec_node;
     t.event->fn();
-    tls_.node = kControlNode;
-    s.pool.release(t.event);
+    exec_node_ = kControlNode;
+    pool_.release(t.event);
   }
 
   // Periodically drop finished fibers so long simulations don't grow. Both
   // run() and run_for() dispatch through here.
-  if ((s.events & 0x3ff) == 0) {
-    std::erase_if(s.fibers, [](const FiberPtr& f) { return f->finished() && f.use_count() == 1; });
+  if ((events_ & 0x3ff) == 0) {
+    std::erase_if(fibers_, [](const FiberPtr& f) { return f->finished() && f.use_count() == 1; });
   }
   return true;
 }
@@ -371,240 +307,46 @@ void Engine::run() {
 
 void Engine::run_for(Duration d) {
   assert(current() == nullptr && "Engine::run_for called from inside a fiber");
-  run_until(global_now_ + d, /*bounded=*/true);
+  run_until(now_ + d, /*bounded=*/true);
 }
 
 void Engine::run_until(Time deadline, bool bounded) {
-  if (shard_count_ <= 1) {
-    Shard& s = *shards_[0];
-    const ExecCtx saved = tls_;
-    tls_ = ExecCtx{this, &s, kControlNode};
-#if STARFISH_TSAN_FIBER_API
-    s.tsan_main = __tsan_get_current_fiber();
-#endif
-    while (dispatch_one(s, deadline)) {
-    }
-    if (bounded) s.now = deadline;
-    global_now_ = bounded ? deadline : s.now;
-    tls_ = saved;
-  } else {
-    run_parallel(deadline, bounded);
+  while (dispatch_one(deadline)) {
   }
-  publish_shard_metrics();
-  // Re-stamp the calling thread's trace order deterministically: records
-  // emitted between runs sort after every event up to now (node UINT32_MAX
-  // outranks all real nodes), identically for any shard count.
-  obs::trace_order() = obs::TraceOrder{global_now_, UINT32_MAX, 0, 0};
+  if (bounded) now_ = deadline;
+  // Re-stamp the trace order: records emitted between runs sort after every
+  // event up to now (node UINT32_MAX outranks all real nodes).
+  obs::trace_order() = obs::TraceOrder{now_, UINT32_MAX, 0, 0};
 }
 
-void Engine::run_parallel(Time deadline, bool bounded) {
-  ensure_threads();
-  Shard& control = *shards_[0];
-  const ExecCtx saved = tls_;
-  tls_ = ExecCtx{this, &control, kControlNode};
-#if STARFISH_TSAN_FIBER_API
-  control.tsan_main = __tsan_get_current_fiber();
-#endif
-  const Duration la = lookahead();
-  for (;;) {
-    // Serial phase: every control event whose key precedes all worker
-    // events runs stop-the-world — it may touch any shard (host crashes,
-    // cross-host spawns, cluster mutations).
-    NextKey ck{}, wk{};
-    bool chave = false;
-    bool whave = false;
-    for (;;) {
-      chave = next_key(control, ck);
-      whave = false;
-      for (size_t i = 1; i < shards_.size(); ++i) {
-        NextKey k;
-        if (next_key(*shards_[i], k)) {
-          if (!whave || event_key_before(k.at, k.node, k.seq, wk.at, wk.node, wk.seq)) wk = k;
-          whave = true;
-        }
-      }
-      if (chave && ck.at <= deadline &&
-          (!whave || event_key_before(ck.at, ck.node, ck.seq, wk.at, wk.node, wk.seq))) {
-        dispatch_one(control, deadline);
-        continue;
-      }
-      break;
-    }
-    if (!whave || (bounded && wk.at > deadline)) break;
-
-    // Conservative window: everything strictly below w is safe to run in
-    // parallel (cross-shard effects land at >= wk.at + lookahead). The next
-    // control event and the run_for deadline also bound the window.
-    Time w = wk.at > kForever - la ? kForever : wk.at + la;
-    if (chave && ck.at < w) w = ck.at;
-    if (bounded && deadline != kForever && deadline + 1 < w) w = deadline + 1;
-    assert(w > wk.at);
-
-    {
-      std::unique_lock<std::mutex> lk(wmu_);
-      window_ = w;
-      window_end_ = w;
-      parallel_active_ = true;
-      pending_ = shard_count_;
-      ++go_gen_;
-      cv_go_.notify_all();
-      cv_done_.wait(lk, [&] { return pending_ == 0; });
-      parallel_active_ = false;
-    }
-    merge_outboxes();
-    ++epochs_;
-  }
-
-  if (bounded) {
-    for (auto& s : shards_) s->now = deadline;
-    global_now_ = deadline;
-  } else {
-    Time latest = global_now_;
-    for (auto& s : shards_) latest = std::max(latest, s->now);
-    global_now_ = latest;
-  }
-  tls_ = saved;
-}
-
-void Engine::run_shard_window(Shard& s, Time limit) {
-  const ExecCtx saved = tls_;
-  tls_ = ExecCtx{this, &s, kControlNode};
-  while (dispatch_one(s, limit - 1)) {
-  }
-  tls_ = saved;
-}
-
-void Engine::worker_main(unsigned shard_idx) {
-  Shard& s = *shards_[shard_idx];
-#if STARFISH_TSAN_FIBER_API
-  s.tsan_main = __tsan_get_current_fiber();
-#endif
-  std::unique_lock<std::mutex> lk(wmu_);
-  uint64_t seen = 0;
-  auto idle_since = std::chrono::steady_clock::now();
-  for (;;) {
-    cv_go_.wait(lk, [&] { return stopping_ || go_gen_ != seen; });
-    if (stopping_) return;
-    seen = go_gen_;
-    const Time limit = window_;
-    lk.unlock();
-    const auto woke = std::chrono::steady_clock::now();
-    s.barrier_wait_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(woke - idle_since).count());
-    run_shard_window(s, limit);
-    idle_since = std::chrono::steady_clock::now();
-    lk.lock();
-    if (--pending_ == 0) cv_done_.notify_one();
-  }
-}
-
-void Engine::ensure_threads() {
-  if (!threads_.empty() || shard_count_ <= 1) return;
-  threads_.reserve(shard_count_);
-  for (unsigned i = 1; i <= shard_count_; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
-}
-
-void Engine::stop_threads() {
-  if (threads_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(wmu_);
-    stopping_ = true;
-  }
-  cv_go_.notify_all();
-  for (auto& t : threads_) t.join();
-  threads_.clear();
-  stopping_ = false;
-}
-
-void Engine::merge_outboxes() {
-  // Any merge order works: keys are globally unique, so the destination
-  // heap induces the same total order no matter the insertion sequence.
-  for (auto& src : shards_) {
-    for (size_t d = 0; d < src->outbox.size(); ++d) {
-      auto& box = src->outbox[d];
-      if (box.empty()) continue;
-      Shard& dst = *shards_[d];
-      for (ExchangeMsg& m : box) {
-        EventNode* n = dst.pool.acquire();
-        n->fn = std::move(m.fn);
-        n->exec_node = m.exec_node;
-        dst.timers.push(TimerEntry{m.at, m.origin, m.seq, n});
-      }
-      box.clear();
-    }
-  }
-}
-
-void Engine::publish_shard_metrics() {
-  if (obs_ == nullptr || shard_count_ <= 1) return;
-  auto& m = obs_->metrics;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    const std::string prefix = "sim.shard." + std::to_string(i);
-    if (s.events != s.events_published) {
-      m.counter(prefix + ".events").add(s.events - s.events_published);
-      s.events_published = s.events;
-    }
-    if (s.cross_msgs != s.cross_published) {
-      m.counter(prefix + ".cross_msgs").add(s.cross_msgs - s.cross_published);
-      s.cross_published = s.cross_msgs;
-    }
-    if (s.barrier_wait_ns != s.wait_published) {
-      m.counter(prefix + ".barrier_wait_ns").add(s.barrier_wait_ns - s.wait_published);
-      s.wait_published = s.barrier_wait_ns;
-    }
-  }
-  if (epochs_ != epochs_published_) {
-    m.counter("sim.shard.epochs").add(epochs_ - epochs_published_);
-    epochs_published_ = epochs_;
-  }
-}
-
-void Engine::resume(Shard& s, Fiber* fiber) {
-  assert(s.current == nullptr && "nested fiber resume");
+void Engine::resume(Fiber* fiber) {
+  assert(current_ == nullptr && "nested fiber resume");
   assert(!fiber->finished());
-  assert(fiber->home_ == &s);
-  s.current = fiber;
+  current_ = fiber;
   fiber->state_ = FiberState::kRunning;
   if (obs_switches_ != nullptr) obs_switches_->add(1);
 #if STARFISH_FAST_CONTEXT
-  starfish_ctx_swap(&s.main_sp, fiber->ctx_sp_);
+  starfish_ctx_swap(&main_sp_, fiber->ctx_sp_);
 #else
-#if STARFISH_TSAN_FIBER_API
-  __tsan_switch_to_fiber(fiber->tsan_fiber_, 0);
+  swapcontext(&main_context_, &fiber->context_);
 #endif
-  swapcontext(&s.main_context, &fiber->context_);
-#endif
-  s.current = nullptr;
+  current_ = nullptr;
   // A finished fiber's context never runs again: recycle the stack now,
   // not when the last FiberPtr dies, so spawn churn reuses stacks
   // immediately.
   if (fiber->finished()) fiber->release_stack();
 }
 
-void Engine::fiber_exited() {
-  // Called on the fiber's stack just before trampoline return; nothing to do
-  // beyond state bookkeeping (already set). Control flows to uc_link.
-}
-
 WakeReason Engine::block() {
-  const ExecCtx c = tls_;
-  assert(c.engine == this && c.shard != nullptr && "block() outside the engine");
-  Shard& s = *c.shard;
-  Fiber* f = s.current;
+  Fiber* f = current_;
   assert(f != nullptr && "block() outside a fiber");
   if (f->killed_) throw FiberKilled{};
   f->state_ = FiberState::kBlocked;
   ++f->wait_epoch_;
 #if STARFISH_FAST_CONTEXT
-  starfish_ctx_swap(&f->ctx_sp_, s.main_sp);
+  starfish_ctx_swap(&f->ctx_sp_, main_sp_);
 #else
-#if STARFISH_TSAN_FIBER_API
-  __tsan_switch_to_fiber(s.tsan_main, 0);
-#endif
-  swapcontext(&f->context_, &s.main_context);
+  swapcontext(&f->context_, &main_context_);
 #endif
   // Resumed.
   if (f->wake_reason_ == WakeReason::kKilled || f->killed_) throw FiberKilled{};
@@ -612,17 +354,14 @@ WakeReason Engine::block() {
 }
 
 WakeReason Engine::block_until(Time deadline) {
-  const ExecCtx c = tls_;
-  assert(c.engine == this && c.shard != nullptr && "block_until() outside the engine");
-  Fiber* f = c.shard->current;
+  Fiber* f = current_;
   assert(f != nullptr && "block_until() outside a fiber");
   if (f->killed_) throw FiberKilled{};
   const uint64_t epoch = f->wait_epoch_ + 1;  // epoch this block will have
-  const Time now = c.shard->now;
   // Capture a shared_ptr: the timer may outlive the fiber if it is woken
   // early by a signal and then finishes. The capture set (this + keep +
   // epoch) fits SmallFn's inline buffer, so no allocation.
-  schedule(deadline - now < 0 ? 0 : deadline - now,
+  schedule(deadline - now_ < 0 ? 0 : deadline - now_,
            [this, keep = f->shared_from_this(), epoch] {
              if (keep->state_ == FiberState::kBlocked && keep->wait_epoch_ == epoch) {
                wake(keep.get(), WakeReason::kTimer);
@@ -637,20 +376,13 @@ void Engine::sleep_until(Time t) {
 
 void Engine::wake(Fiber* fiber, WakeReason reason) {
   if (fiber == nullptr || fiber->state_ != FiberState::kBlocked) return;
-  Shard* home = fiber->home_;
-  assert((!parallel_active_ || tls_.shard == home) &&
-         "cross-shard wake from a parallel window");
-  const ExecCtx& c = tls_;
-  const bool own = c.engine == this;
-  const NodeId origin = own ? c.node : kControlNode;
-  const Time at = own ? c.shard->now : global_now_;
   fiber->state_ = FiberState::kRunnable;
   fiber->wake_reason_ = reason;
   // O(1) amortized ready-ring enqueue: no heap round-trip, no callback
   // allocation on the dominant block/wake/resume cycle. The (node, seq) key
-  // keeps the global order.
-  home->ready.push(ReadyEntry{at, origin, nodes_[origin].next_seq++, fiber->shared_from_this(),
-                              fiber->wait_epoch_});
+  // keeps the total order.
+  ready_.push(ReadyEntry{now_, exec_node_, nodes_[exec_node_].next_seq++,
+                         fiber->shared_from_this(), fiber->wait_epoch_});
 }
 
 }  // namespace starfish::sim

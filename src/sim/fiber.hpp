@@ -6,10 +6,9 @@
 // virtual times. Killing a fiber (host crash) unwinds its stack by throwing
 // FiberKilled from the next blocking point, so RAII cleanup still runs.
 //
-// Since the engine went multi-shard (DESIGN.md section 13) every fiber has
-// a home *node* fixed at creation; the node determines the shard (and thus
-// the OS thread) the fiber always runs on. Node 0 is the control plane and
-// runs on the coordinator between windows.
+// Every fiber has a home *node* fixed at creation (its host's, or node 0,
+// the control plane); the node's counters stamp the events the fiber
+// schedules.
 #pragma once
 
 #include <ucontext.h>
@@ -25,11 +24,10 @@
 namespace starfish::sim {
 
 class Engine;
-struct Shard;
 
-/// Logical execution lane for determinism and shard placement. Node 0 (the
-/// control node) belongs to the coordinator; Engine::register_node() mints
-/// one per host. The event total order is (time, node, per-node seq).
+/// Logical execution lane for determinism. Node 0 is the control node;
+/// Engine::register_node() mints one per host. The event total order is
+/// (time, node, per-node seq).
 using NodeId = uint32_t;
 constexpr NodeId kControlNode = 0;
 
@@ -50,7 +48,7 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
   Fiber& operator=(const Fiber&) = delete;
 
   const std::string& name() const { return name_; }
-  /// (node << 32) | per-node counter: unique and shard-count-independent.
+  /// (node << 32) | per-node counter: unique and deterministic.
   uint64_t id() const { return id_; }
   NodeId node() const { return node_; }
   FiberState state() const { return state_; }
@@ -74,7 +72,6 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
   std::string name_;
   uint64_t id_;
   NodeId node_;
-  Shard* home_;  ///< owning shard, fixed at creation
   std::function<void()> body_;
 
   FiberState state_ = FiberState::kCreated;
@@ -88,9 +85,6 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
   void* ctx_sp_ = nullptr;
 #else
   ucontext_t context_{};
-#endif
-#if STARFISH_TSAN_FIBER_API
-  void* tsan_fiber_ = nullptr;  ///< TSan's shadow context for this stack
 #endif
   /// Owns the recycling pool jointly with the engine: a FiberPtr held by
   /// user code can outlive the engine, and ~Fiber must still release.

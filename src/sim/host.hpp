@@ -32,16 +32,16 @@ class Host {
 
   Engine& engine() const { return engine_; }
   HostId id() const { return id_; }
-  /// The host's determinism/placement node (see DESIGN.md section 13); all
-  /// of the host's fibers and deliveries execute under it.
+  /// The host's determinism node; all of the host's fibers and deliveries
+  /// execute under it.
   NodeId node() const { return node_; }
   const std::string& name() const { return name_; }
   const Machine& machine() const { return machine_; }
   Disk& disk() { return disk_; }
   bool alive() const { return alive_; }
 
-  /// Spawns a fiber that belongs to this host (homed on its node/shard); it
-  /// dies with the host.
+  /// Spawns a fiber that belongs to this host (homed on its node); it dies
+  /// with the host.
   FiberPtr spawn(std::string fiber_name, std::function<void()> body, Duration delay = 0) {
     auto f = engine_.spawn_on(node_, name_ + "/" + std::move(fiber_name), std::move(body), delay);
     fibers_.push_back(f);

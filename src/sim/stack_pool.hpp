@@ -47,6 +47,9 @@ class StackPool {
   /// Stacks unmapped because their bucket was full.
   uint64_t retired() const { return retired_; }
   size_t cached() const;
+  /// Stacks handed out and not yet released (every mapping is either out,
+  /// cached or unmapped).
+  size_t outstanding() const { return misses_ - retired_ - cached(); }
 
  private:
   struct Bucket {

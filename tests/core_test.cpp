@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -894,6 +895,64 @@ TEST(Dynamicity, NodeAddedAtRuntimeJoinsCluster) {
   f.cluster.submit(ring_job("after-add", 3));
   ASSERT_TRUE(f.cluster.run_until_done("after-add"));
   EXPECT_FALSE(f.cluster.daemon_at(2).local_ranks("after-add").empty());
+}
+
+// ------------------------------------------------------------ teardown ----
+
+/// Counts live instances. Each native rank holds one, with a 1 MB heap
+/// buffer, across its blocking calls: a count above zero after teardown
+/// means a fiber's frame was abandoned instead of unwound.
+struct LiveProbe {
+  static inline int live = 0;
+  std::vector<uint8_t> buffer = std::vector<uint8_t>(1 << 20);
+  LiveProbe() { ++live; }
+  ~LiveProbe() { --live; }
+  LiveProbe(const LiveProbe&) = delete;
+  LiveProbe& operator=(const LiveProbe&) = delete;
+};
+
+constexpr uint32_t kHoldingRanks = 4;
+
+/// A 4-rank native job that would run for ~10 s of virtual time, stopped
+/// 300 ms in: every rank is then blocked in compute() or the allreduce.
+std::unique_ptr<Cluster> cluster_mid_holding_job() {
+  ClusterOptions opts;
+  opts.nodes = 4;
+  auto cluster = std::make_unique<Cluster>(opts);
+  cluster->registry().register_native("hold", [](AppContext& ctx) {
+    LiveProbe probe;
+    for (int i = 0; i < 1000; ++i) {
+      ctx.compute(milliseconds(10));
+      ctx.world().allreduce(std::vector<int64_t>{probe.buffer[0]}, mpi::ReduceOp::kSum);
+    }
+  });
+  JobSpec job;
+  job.name = "hold";
+  job.binary = "hold";
+  job.nprocs = kHoldingRanks;
+  cluster->submit(job);
+  cluster->run_for(milliseconds(300));
+  return cluster;
+}
+
+TEST(Teardown, DestroyingAMidJobClusterUnwindsEveryRank) {
+  LiveProbe::live = 0;
+  auto cluster = cluster_mid_holding_job();
+  ASSERT_EQ(LiveProbe::live, static_cast<int>(kHoldingRanks));
+  cluster.reset();
+  EXPECT_EQ(LiveProbe::live, 0);
+}
+
+TEST(Teardown, ShutdownReturnsEveryFiberStack) {
+  LiveProbe::live = 0;
+  auto cluster = cluster_mid_holding_job();
+  ASSERT_EQ(LiveProbe::live, static_cast<int>(kHoldingRanks));
+  ASSERT_GT(cluster->engine().stack_pool().outstanding(), 0u);
+  // The first thing ~Cluster does; called directly so the pool can still
+  // be inspected afterwards.
+  cluster->engine().shutdown();
+  EXPECT_EQ(LiveProbe::live, 0);
+  EXPECT_EQ(cluster->engine().stack_pool().outstanding(), 0u);
 }
 
 }  // namespace

@@ -213,11 +213,10 @@ util::Bytes text(const std::string& s) {
   return b;
 }
 
-GoldenResult run_gcs_chaos(unsigned shards = 1) {
+GoldenResult run_gcs_chaos() {
   obs::Hub hub;
   hub.tracer.set_enabled(true);
   Engine eng(/*seed=*/3);
-  eng.set_shards(shards);  // before any host registers its node
   eng.set_obs(&hub);
   net::Network net{eng};
   gcs::GroupConfig config;
@@ -264,7 +263,7 @@ GoldenResult run_gcs_chaos(unsigned shards = 1) {
   // Under this seed all 10 multicasts deliver within the window (the
   // per-source fault lanes draw a different — still deterministic — drop
   // pattern than the old single RNG stream), which is the point: faults
-  // included, nothing shifts between runs or shard counts.
+  // included, nothing shifts between runs.
   EXPECT_EQ(delivered[0], delivered[1]);
   EXPECT_EQ(delivered[0].size(), 10u);
   return harvest(eng, hub);
@@ -287,22 +286,6 @@ TEST(EngineGolden, GcsChaosReplaysPreOverhaulHistory) {
                              .trace_events = 473,
                              .trace_hash = 8668644327926506007ull};
   check(run_gcs_chaos(), want);
-}
-
-// The conservative time-window scheduler must not perturb the simulation:
-// the same chaos run at 2/4/8 shards reproduces the sequential history
-// field-for-field. Run-queue depth stats are scheduler-internal (each shard
-// samples its own ready ring), so only the observable fields are compared.
-TEST(EngineGolden, GcsChaosIsShardCountInvariant) {
-  const GoldenResult seq = run_gcs_chaos(1);
-  for (const unsigned shards : {2u, 4u, 8u}) {
-    const GoldenResult got = run_gcs_chaos(shards);
-    EXPECT_EQ(got.events, seq.events) << "shards=" << shards;
-    EXPECT_EQ(got.sim_ns, seq.sim_ns) << "shards=" << shards;
-    EXPECT_EQ(got.switches, seq.switches) << "shards=" << shards;
-    EXPECT_EQ(got.trace_events, seq.trace_events) << "shards=" << shards;
-    EXPECT_EQ(got.trace_hash, seq.trace_hash) << "shards=" << shards;
-  }
 }
 
 }  // namespace

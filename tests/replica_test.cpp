@@ -1,6 +1,6 @@
 // Diskless checkpoint storage (ckpt/replica.hpp): deterministic placement,
 // warm re-replication, crash invalidation, commit-after-transfer, recovery
-// fallback, and shard-count invariance of the replica tier.
+// fallback, and same-seed replay of the replica tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -545,7 +545,7 @@ TEST(ReplicaChaos, SurvivesFaultsAndCrashWithInvariantsIntact) {
   EXPECT_GT(replicas->puts_committed(), 0u);
 }
 
-// ------------------------------------------------- shard determinism ----
+// ---------------------------------------------------- same-seed replay ----
 
 struct ReplicaRun {
   std::vector<std::string> output;
@@ -555,19 +555,18 @@ struct ReplicaRun {
   sim::Time end = 0;
 };
 
-ReplicaRun replica_run(unsigned shards) {
+ReplicaRun replica_run() {
   ClusterOptions opts;
   opts.nodes = 4;
-  opts.shards = shards;
   opts.ckpt_backend = ckpt::CkptBackend::kReplica;
   Cluster cluster(std::move(opts));
   cluster.registry().register_vm("ring", ring_program(30, 100000));
-  cluster.submit(ring_job("shards", 4));
+  cluster.submit(ring_job("replay", 4));
   cluster.run_for(milliseconds(300));
   cluster.crash_node(2);
-  EXPECT_TRUE(cluster.run_until_done("shards", seconds(240.0)));
+  EXPECT_TRUE(cluster.run_until_done("replay", seconds(240.0)));
   ReplicaRun out;
-  out.output = cluster.output("shards");
+  out.output = cluster.output("replay");
   out.replica_hash = cluster.store().replicas()->content_hash();
   out.store_hash = cluster.store().content_hash();
   out.shipped = cluster.store().replicas()->bytes_shipped();
@@ -575,17 +574,17 @@ ReplicaRun replica_run(unsigned shards) {
   return out;
 }
 
-TEST(ReplicaShardDeterminism, ContentHashIdenticalAt1248Shards) {
-  const ReplicaRun base = replica_run(1);
+// The replica tier's holder sets, warm-transfer caches and shipped bytes
+// after a crash and in-memory recovery are a pure function of the seed.
+TEST(ReplicaReplay, ContentHashIdenticalOnSameSeedReplay) {
+  const ReplicaRun base = replica_run();
   ASSERT_FALSE(base.output.empty());
-  for (unsigned shards : {2u, 4u, 8u}) {
-    const ReplicaRun run = replica_run(shards);
-    EXPECT_EQ(run.replica_hash, base.replica_hash) << shards << " shards";
-    EXPECT_EQ(run.store_hash, base.store_hash) << shards << " shards";
-    EXPECT_EQ(run.shipped, base.shipped) << shards << " shards";
-    EXPECT_EQ(run.output, base.output) << shards << " shards";
-    EXPECT_EQ(run.end, base.end) << shards << " shards";
-  }
+  const ReplicaRun run = replica_run();
+  EXPECT_EQ(run.replica_hash, base.replica_hash);
+  EXPECT_EQ(run.store_hash, base.store_hash);
+  EXPECT_EQ(run.shipped, base.shipped);
+  EXPECT_EQ(run.output, base.output);
+  EXPECT_EQ(run.end, base.end);
 }
 
 }  // namespace
