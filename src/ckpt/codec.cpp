@@ -55,34 +55,40 @@ Error note_decode_error(obs::Hub* hub, Error e) {
 /// (simd mismatch), not fingerprint-trusting, because the stored bytes
 /// must reconstruct bit-identically and both payloads are in memory here.
 Bytes delta_encode(BytesView raw, BytesView base, uint64_t* refs, uint64_t* literals) {
-  Bytes out;
-  Writer w(out);
-  w.u32(kDeltaMagic);
-  w.u8(kDeltaVersion);
-  w.u64(raw.size());
-  w.u64(base.size());
-  w.u64(simd::fingerprint(base.data(), base.size()));
-  const size_t count_at = out.size();
-  w.u32(0);  // literal count, patched after the scan
+  // Scan first, then write into one exactly-sized buffer: the literal list
+  // fixes the frame size before any byte of it is written.
   const simd::Ops& simd = simd::ops();
   const size_t n_pages = page_count(raw.size());
-  uint32_t n_literals = 0;
+  std::vector<uint32_t> literal_pages;
+  size_t literal_bytes = 0;
   for (size_t p = 0; p < n_pages; ++p) {
     const size_t off = p * kPageBytes;
     const size_t len = std::min(kPageBytes, raw.size() - off);
     const bool same = off + len <= base.size() &&
                       simd.mismatch(base.data() + off, raw.data() + off, len) == len;
     if (same) continue;
-    ++n_literals;
-    w.u32(static_cast<uint32_t>(p));
-    w.bytes(raw.subspan(off, len));
+    literal_pages.push_back(static_cast<uint32_t>(p));
+    literal_bytes += 2 * sizeof(uint32_t) + len;
   }
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
-    out[count_at + i] = static_cast<std::byte>((n_literals >> (8 * i)) & 0xff);
+  constexpr size_t kFixedBytes = sizeof(uint32_t) + 1 + 3 * sizeof(uint64_t) + sizeof(uint32_t) +
+                                 sizeof(uint64_t);
+  Bytes out;
+  out.reserve(kFixedBytes + literal_bytes);
+  Writer w(out);
+  w.u32(kDeltaMagic);
+  w.u8(kDeltaVersion);
+  w.u64(raw.size());
+  w.u64(base.size());
+  w.u64(simd::fingerprint(base.data(), base.size()));
+  w.u32(static_cast<uint32_t>(literal_pages.size()));
+  for (uint32_t p : literal_pages) {
+    const size_t off = size_t{p} * kPageBytes;
+    w.u32(p);
+    w.bytes(raw.subspan(off, std::min(kPageBytes, raw.size() - off)));
   }
   w.u64(simd::fingerprint(out.data(), out.size()));
-  if (refs != nullptr) *refs = n_pages - n_literals;
-  if (literals != nullptr) *literals = n_literals;
+  if (refs != nullptr) *refs = n_pages - literal_pages.size();
+  if (literals != nullptr) *literals = literal_pages.size();
   return out;
 }
 

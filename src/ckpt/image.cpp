@@ -242,6 +242,16 @@ Image portable_encode(const sim::Machine& saver, const vm::VmState& state) {
     w.u32(static_cast<uint32_t>(f.locals.size()));
     put_values(w, f.locals, word);
   }
+  // Pre-size the heap section once: one length-prefixed append per byte
+  // object would otherwise reallocate the payload exactly on every call. An
+  // array is bounded by one tag byte plus one 8-byte word per value.
+  size_t heap_bound = sizeof(uint32_t) + sizeof(uint64_t);
+  for (const auto& obj : state.heap) {
+    heap_bound += 1 + sizeof(uint32_t) +
+                  (obj.kind == vm::HeapObject::Kind::kArray ? 9 * obj.fields.size()
+                                                            : obj.bytes.size());
+  }
+  w.reserve(heap_bound);
   w.u32(static_cast<uint32_t>(state.heap.size()));
   for (const auto& obj : state.heap) {
     w.u8(static_cast<uint8_t>(obj.kind));

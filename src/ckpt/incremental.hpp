@@ -10,12 +10,15 @@
 // fingerprint of the previous epoch's state (PageHashCache, owned by the
 // CrModule and carried between epochs). With a warm cache an unchanged page
 // costs one hash of the current page plus one integer compare — the
-// previous state is never re-read — instead of the naive two full memcmp
-// passes. The encoder is single-pass: the changed-page count is patched
-// into the header after the scan rather than recomputed by a second sweep.
+// previous state is never re-read, so its owner need not keep it — instead
+// of the naive two full memcmp passes. The hash pass yields the dirty-page
+// list, from which the delta's exact size is known before one byte of it is
+// written: the C/R module writes the delta in place inside the image
+// payload, one write per dirty byte (DESIGN.md, "Checkpoint data path").
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/buffer.hpp"
@@ -68,29 +71,49 @@ struct PageHashCache {
   void rebuild(util::BytesView state);
 };
 
-/// Per-pass accounting of one incremental_encode call, for the obs layer:
-/// how much work the scan did and how much of the state was dirty.
+/// Per-pass accounting of one dirty_pages call, for the obs layer: how
+/// much work the scan did and how much of the state was dirty.
 struct EncodeStats {
   uint64_t pages_scanned = 0;  ///< pages of `cur` examined
   uint64_t pages_hashed = 0;   ///< fingerprints computed (cache present)
   uint64_t pages_dirty = 0;    ///< changed pages emitted into the delta
 };
 
-/// Encodes the pages of `cur` that differ from `prev` (or lie beyond its
-/// end) in one pass over `cur`. With a warm `cache` (describing `prev`),
-/// unchanged pages are detected by fingerprint compare and `prev` is not
-/// read at all; cold or absent caches fall back to one memcmp per page.
-/// On return the cache describes `cur`, warm for the next epoch.
-/// Optionally reports how many pages changed and the pass accounting.
+/// The hash pass of a delta epoch: the indices, ascending, of the pages of
+/// `cur` that differ from the previous state or lie beyond its end. A warm
+/// `cache` must describe the previous state; unchanged pages are then found
+/// by fingerprint compare and `prev` is not read at all, so it may be empty.
+/// A cold or absent cache falls back to one memcmp per page against `prev`.
+/// On return a non-null cache describes `cur`, warm for the next epoch.
+std::vector<uint32_t> dirty_pages(util::BytesView prev, util::BytesView cur,
+                                  PageHashCache* cache, EncodeStats* stats = nullptr);
+
+/// Exact encoded size of the delta carrying the `dirty` pages of a state of
+/// `cur_len` bytes, so a caller can size its output buffer once.
+size_t delta_bytes(size_t cur_len, std::span<const uint32_t> dirty);
+
+/// Appends the delta carrying the `dirty` pages of `cur` (as returned by
+/// dirty_pages) — each dirty byte is written once, in place.
+void write_delta(util::Writer& w, util::BytesView cur, std::span<const uint32_t> dirty);
+
+/// By-value convenience over dirty_pages + write_delta: the delta from
+/// `prev` to `cur` in one exactly-sized buffer. A `cache` that does not
+/// describe `prev` is treated as cold. Optionally reports how many pages
+/// changed and the pass accounting.
 util::Bytes incremental_encode(const util::Bytes& prev, const util::Bytes& cur,
                                uint64_t* changed_pages = nullptr,
                                PageHashCache* cache = nullptr, EncodeStats* stats = nullptr);
 
-/// Reconstructs the full state from `base` plus one delta. Rejects deltas
-/// whose announced size exceeds `max_state_bytes`, whose page indices are
-/// duplicated or out of range, or whose page data does not fit the
-/// announced state — a corrupt chain surfaces as a decode error, never as
-/// a huge allocation or out-of-bounds write.
+/// Applies one delta to `state` in place, leaving the state it describes.
+/// Rejects deltas whose announced size exceeds `max_state_bytes`, whose
+/// page indices are duplicated or out of range, or whose page data does not
+/// fit the announced state — a corrupt chain surfaces as a decode error,
+/// never as a huge allocation or out-of-bounds write. The whole delta is
+/// validated before `state` is touched, so on error it is unchanged.
+util::Status incremental_apply_into(util::Bytes& state, util::BytesView delta,
+                                    uint64_t max_state_bytes = kMaxIncrementalStateBytes);
+
+/// By-value convenience over incremental_apply_into: `base` plus one delta.
 util::Result<util::Bytes> incremental_apply(
     const util::Bytes& base, const util::Bytes& delta,
     uint64_t max_state_bytes = kMaxIncrementalStateBytes);

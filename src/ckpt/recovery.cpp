@@ -32,8 +32,8 @@ util::Bytes DependencyTracker::encode() const {
   return out;
 }
 
-util::Result<DependencyTracker> DependencyTracker::decode(const util::Bytes& bytes) {
-  util::Reader r(util::as_bytes_view(bytes));
+util::Result<DependencyTracker> DependencyTracker::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
   auto rank = r.u32();
   if (!rank) return rank.error();
   const bool has_sends = (rank.value() & kHasSendsFlag) != 0;

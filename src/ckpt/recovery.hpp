@@ -83,7 +83,7 @@ class DependencyTracker {
   /// checkpoint container) surfaces as a decode error instead of silently
   /// yielding a zeroed dependency set — which would fabricate a recovery
   /// line unconstrained by the dependencies that were actually recorded.
-  static util::Result<DependencyTracker> decode(const util::Bytes& bytes);
+  static util::Result<DependencyTracker> decode(util::BytesView bytes);
 
  private:
   uint32_t rank_;

@@ -56,19 +56,14 @@ ReplicaStore::ReplicaStore(sim::Engine& engine, ReplicaOptions options,
   assert(options_.replication >= 1);
 }
 
-uint64_t ReplicaStore::pages_to_ship(const util::Bytes& payload, const HolderCache* cache,
-                                     std::vector<uint64_t>& fresh, uint64_t* ship_bytes) {
-  const size_t pages = (payload.size() + kPageBytes - 1) / kPageBytes;
-  fresh.resize(pages);
+uint64_t ReplicaStore::pages_to_ship(std::span<const uint64_t> fresh, size_t payload_len,
+                                     const HolderCache* cache, uint64_t* ship_bytes) {
   uint64_t ship = 0;
   uint64_t bytes = 0;
-  for (size_t p = 0; p < pages; ++p) {
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min(kPageBytes, payload.size() - off);
-    fresh[p] = page_fingerprint(util::BytesView(payload.data() + off, len));
+  for (size_t p = 0; p < fresh.size(); ++p) {
     if (cache == nullptr || p >= cache->hashes.size() || cache->hashes[p] != fresh[p]) {
       ++ship;
-      bytes += len;
+      bytes += std::min(kPageBytes, payload_len - p * kPageBytes);
     }
   }
   if (ship_bytes != nullptr) *ship_bytes = bytes;
@@ -84,7 +79,9 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
   // the payload pages whose fingerprint changed since the image they
   // already hold; cold holders receive the full payload. No state mutates
   // here — the transfer has not happened yet.
-  std::vector<uint64_t> fresh_hashes;
+  // The payload is fingerprinted once per put, whatever the holder count.
+  PageHashCache fresh;
+  fresh.rebuild(util::as_bytes_view(image.payload));
   uint64_t total_bytes = 0;
   uint64_t pages_shipped = 0, pages_skipped = 0;
   sim::Duration transfer = 0;
@@ -93,11 +90,9 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
     const HolderCache* cache = nullptr;
     auto it = holder_caches_.find({holder, key.app, key.rank});
     if (it != holder_caches_.end()) cache = &it->second;
-    std::vector<uint64_t> hashes;
-    const uint64_t pages = (image.payload.size() + kPageBytes - 1) / kPageBytes;
+    const uint64_t pages = fresh.hashes.size();
     uint64_t ship_bytes = 0;
-    const uint64_t ship = pages_to_ship(image.payload, cache, hashes, &ship_bytes);
-    if (fresh_hashes.empty()) fresh_hashes = std::move(hashes);
+    const uint64_t ship = pages_to_ship(fresh.hashes, fresh.state_len, cache, &ship_bytes);
     const uint64_t bytes = kReplicaHeaderBytes + ship_bytes;
     total_bytes += bytes;
     pages_shipped += ship;
@@ -125,13 +120,13 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
     ++survivors;
     if (entry == nullptr) {
       entry = &entries_[key];
-      entry->image = image;
+      entry->image = std::move(image);
     }
     entry->holders.insert(holder);
     HolderCache& cache = holder_caches_[{holder, key.app, key.rank}];
     if (key.epoch >= cache.epoch) {
-      cache.hashes = fresh_hashes;
-      cache.payload_len = image.payload.size();
+      cache.hashes = fresh.hashes;
+      cache.payload_len = fresh.state_len;
       cache.epoch = key.epoch;
     }
   }
@@ -286,16 +281,19 @@ void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_
   const net::TransportModel& model = net::model_for(options_.transport);
   for (const auto& [key, entry] : entries_) {
     if (key.app != app || key.rank != rank || entry.holders.empty()) continue;
+    PageHashCache fresh;  // fingerprinted once per entry, on first need
     for (sim::HostId holder : holders) {
       if (entry.holders.contains(holder) || !alive_(holder)) continue;
       const HolderCache* cache = nullptr;
       auto it = holder_caches_.find({holder, app, rank});
       if (it != holder_caches_.end()) cache = &it->second;
+      if (!fresh.valid) fresh.rebuild(util::as_bytes_view(entry.image.payload));
       Shipment s;
       s.key = key;
       s.holder = holder;
+      s.hashes = fresh.hashes;
       uint64_t ship_bytes = 0;
-      pages_to_ship(entry.image.payload, cache, s.hashes, &ship_bytes);
+      pages_to_ship(fresh.hashes, entry.image.payload.size(), cache, &ship_bytes);
       s.bytes = kReplicaHeaderBytes + ship_bytes;
       transfer += holder == shipper.id()
                       ? loopback_time(s.bytes)

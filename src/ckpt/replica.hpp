@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,12 +165,12 @@ class ReplicaStore {
   };
   using HolderKey = std::tuple<sim::HostId, std::string, uint32_t>;
 
-  /// Pages of `payload` a holder with `cache` still needs (changed or new
-  /// fingerprints); fills `fresh` with the payload's full fingerprint set
-  /// and `ship_bytes` with the actual byte total of the shipped pages
+  /// Pages of a payload of `payload_len` bytes with fingerprints `fresh`
+  /// that a holder with `cache` still needs (changed or new fingerprints);
+  /// fills `ship_bytes` with the actual byte total of the shipped pages
   /// (tail pages count their real length, not a full 4 KB).
-  static uint64_t pages_to_ship(const util::Bytes& payload, const HolderCache* cache,
-                                std::vector<uint64_t>& fresh, uint64_t* ship_bytes);
+  static uint64_t pages_to_ship(std::span<const uint64_t> fresh, size_t payload_len,
+                                const HolderCache* cache, uint64_t* ship_bytes);
 
   sim::Engine& engine_;
   ReplicaOptions options_;

@@ -1,5 +1,8 @@
 #include "core/cr.hpp"
 
+#include <cassert>
+#include <utility>
+
 #include "core/process.hpp"
 #include "util/log.hpp"
 
@@ -41,42 +44,69 @@ uint64_t decode_epoch(util::BytesView b) {
 }
 
 /// Container layout of a checkpoint image payload (fixed little-endian
-/// framing; the inner app_state carries its own representation).
-struct Container {
-  util::Bytes tracker;
-  util::Bytes app_state;
-  util::Bytes channel_state;
+/// framing; the inner app_state carries its own representation):
+/// bytes tracker; bytes app_state; bytes channel_state; u32 n_recorded;
+/// n_recorded x {u32 comm; u32 src; i32 tag; u32 send_interval; bytes data}.
+/// On a delta epoch the app_state section holds the incremental delta of
+/// the captured state's dirty pages instead of the state itself.
+///
+/// Write side: the payload is sized exactly first, then every byte of it is
+/// written once — the captured state is read through a view, and a delta's
+/// dirty pages are copied straight from it into place (DESIGN.md,
+/// "Checkpoint data path").
+util::Bytes encode_container(util::BytesView tracker, util::BytesView app_state,
+                             const std::vector<uint32_t>* dirty, util::BytesView channel_state,
+                             std::span<const mpi::Envelope> recorded) {
+  constexpr size_t kLen = sizeof(uint32_t);
+  constexpr size_t kEnvelopeHeader = 4 * sizeof(uint32_t) + kLen;
+  const size_t app_len =
+      dirty != nullptr ? ckpt::delta_bytes(app_state.size(), *dirty) : app_state.size();
+  size_t total = 3 * kLen + tracker.size() + app_len + channel_state.size() + sizeof(uint32_t);
+  for (const auto& e : recorded) total += kEnvelopeHeader + e.data.size();
+
+  util::Bytes out;
+  out.reserve(total);
+  util::Writer w(out);
+  w.bytes(tracker);
+  if (dirty != nullptr) {
+    w.u32(static_cast<uint32_t>(app_len));
+    ckpt::write_delta(w, app_state, *dirty);
+  } else {
+    w.bytes(app_state);
+  }
+  w.bytes(channel_state);
+  w.u32(static_cast<uint32_t>(recorded.size()));
+  for (const auto& e : recorded) {
+    w.u32(e.comm);
+    w.u32(e.src);
+    w.i32(e.tag);
+    w.u32(e.send_interval);
+    w.bytes(e.data.view());
+  }
+  assert(out.size() == total);
+  return out;
+}
+
+/// Read side: the sections are views into the payload they were decoded
+/// from (valid while it is alive); only recorded messages are copied out.
+struct ContainerView {
+  util::BytesView tracker;
+  util::BytesView app_state;
+  util::BytesView channel_state;
   std::vector<mpi::Envelope> recorded;
 
-  util::Bytes encode() const {
-    util::Bytes out;
-    util::Writer w(out);
-    w.bytes(util::as_bytes_view(tracker));
-    w.bytes(util::as_bytes_view(app_state));
-    w.bytes(util::as_bytes_view(channel_state));
-    w.u32(static_cast<uint32_t>(recorded.size()));
-    for (const auto& e : recorded) {
-      w.u32(e.comm);
-      w.u32(e.src);
-      w.i32(e.tag);
-      w.u32(e.send_interval);
-      w.bytes(util::as_bytes_view(e.data));
-    }
-    return out;
-  }
-
-  static util::Result<Container> decode(const util::Bytes& bytes) {
-    util::Reader r(util::as_bytes_view(bytes));
-    Container c;
-    auto tracker = r.bytes();
+  static util::Result<ContainerView> decode(util::BytesView bytes) {
+    util::Reader r(bytes);
+    ContainerView c;
+    auto tracker = r.view();
     if (!tracker) return tracker.error();
-    c.tracker = std::move(tracker).take();
-    auto app_state = r.bytes();
+    c.tracker = tracker.value();
+    auto app_state = r.view();
     if (!app_state) return app_state.error();
-    c.app_state = std::move(app_state).take();
-    auto channel = r.bytes();
+    c.app_state = app_state.value();
+    auto channel = r.view();
     if (!channel) return channel.error();
-    c.channel_state = std::move(channel).take();
+    c.channel_state = channel.value();
     const uint32_t n = r.u32().value_or(0);
     for (uint32_t i = 0; i < n; ++i) {
       mpi::Envelope e;
@@ -84,9 +114,9 @@ struct Container {
       e.src = r.u32().value_or(0);
       e.tag = r.i32().value_or(0);
       e.send_interval = r.u32().value_or(0);
-      auto data = r.bytes();
+      auto data = r.view();
       if (!data) return data.error();
-      e.data = std::move(data).take();
+      e.data = util::SharedBytes::copy(data.value());
       c.recorded.push_back(std::move(e));
     }
     return c;
@@ -275,9 +305,8 @@ void CrModule::maybe_capture_stop_and_sync() {
     const uint64_t epoch = active_epoch_;
     process_.spawn_owned("ckpt-writer",
                          [this, epoch, app_state = std::move(app_state),
-                          channel_state = std::move(channel_state)]() mutable {
-                           store_image(epoch, std::move(app_state), std::move(channel_state),
-                                       {});
+                          channel_state = std::move(channel_state)] {
+                           store_image(epoch, app_state, channel_state, {});
                            send_coord(CoordKind::kAck, epoch);
                          });
     return;
@@ -314,11 +343,13 @@ void CrModule::on_recv_tap(const mpi::Envelope& env) {
 
 void CrModule::finish_chandy_lamport() {
   cl_active_ = false;
-  store_image(active_epoch_, cl_app_state_, cl_channel_state_, cl_recorded_);
+  // Moved out of the members, so the snapshot's memory is released once the
+  // image is stored.
+  const util::Bytes app_state = std::exchange(cl_app_state_, {});
+  const util::Bytes channel_state = std::exchange(cl_channel_state_, {});
+  const std::vector<mpi::Envelope> recorded = std::exchange(cl_recorded_, {});
+  store_image(active_epoch_, app_state, channel_state, recorded);
   send_coord(CoordKind::kAck, active_epoch_);
-  cl_recorded_.clear();
-  cl_app_state_.clear();
-  cl_channel_state_.clear();
 }
 
 // ------------------------------------------------------- uncoordinated ----
@@ -345,53 +376,56 @@ void CrModule::take_uncoordinated_checkpoint() {
 
 // -------------------------------------------------------------- images ----
 
-void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
-                           const std::vector<mpi::Envelope>& recorded) {
+void CrModule::store_image(uint64_t epoch, util::BytesView app_state,
+                           util::BytesView channel_state,
+                           std::span<const mpi::Envelope> recorded) {
   ckpt::Image img;
   const bool portable =
       process_.job().level == daemon::CkptLevel::kVm && process_.is_vm_app();
+  const bool incremental = process_.job().incremental_ckpt;
+  obs::Hub* hub = process_.engine().obs();
 
-  Container c;
-  c.tracker = tracker_.encode();
-  c.channel_state = std::move(channel_state);
-  c.recorded = recorded;
   const auto state_pages =
       (app_state.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
-  if (process_.job().incremental_ckpt && have_prev_ && !is_full_epoch(epoch)) {
-    // Warm cache: one fingerprint pass over app_state, prev_app_state_ is
-    // not read; the pass leaves the cache describing app_state.
+  std::vector<uint32_t> dirty;
+  const bool delta = incremental && have_prev_ && !is_full_epoch(epoch);
+  if (delta) {
+    // The cache is warm whenever have_prev_ is set (every full epoch and
+    // restore rebuilds it), so the hash pass never reads the previous state;
+    // it leaves the cache describing app_state.
+    assert(page_cache_.valid);
     ckpt::EncodeStats enc;
-    c.app_state =
-        ckpt::incremental_encode(prev_app_state_, app_state, nullptr, &page_cache_, &enc);
+    dirty = ckpt::dirty_pages({}, app_state, &page_cache_, &enc);
     img.incremental = true;
     img.base_epoch = prev_epoch_;
-    if (obs::Hub* hub = process_.engine().obs()) {
+    if (hub != nullptr) {
       hub->metrics.counter("ckpt.pages_scanned").add(enc.pages_scanned);
       hub->metrics.counter("ckpt.pages_hashed").add(enc.pages_hashed);
       hub->metrics.counter("ckpt.pages_dirty").add(enc.pages_dirty);
       hub->metrics.counter("ckpt.pages_written").add(enc.pages_dirty);
     }
   } else {
-    c.app_state = app_state;
-    // Full epoch: no encode pass ran, so warm the cache here — otherwise the
-    // next delta epoch would fall back to the memcmp path.
-    if (process_.job().incremental_ckpt) page_cache_.rebuild(app_state);
-    if (obs::Hub* hub = process_.engine().obs()) {
-      if (process_.job().incremental_ckpt) {
-        hub->metrics.counter("ckpt.pages_hashed").add(state_pages);
-      }
+    // Full epoch: no hash pass ran, so warm the cache here — otherwise the
+    // next delta epoch would have nothing to diff against.
+    if (incremental) page_cache_.rebuild(app_state);
+    if (hub != nullptr) {
+      if (incremental) hub->metrics.counter("ckpt.pages_hashed").add(state_pages);
       hub->metrics.counter("ckpt.pages_written").add(state_pages);
     }
   }
-  if (process_.job().incremental_ckpt) {
-    prev_app_state_ = std::move(app_state);
+  if (incremental) {
     prev_epoch_ = epoch;
     have_prev_ = true;
   }
 
+  img.payload = encode_container(util::as_bytes_view(tracker_.encode()), app_state,
+                                 delta ? &dirty : nullptr, channel_state, recorded);
+  if (hub != nullptr) {
+    hub->metrics.counter("ckpt.bytes_copied").add(img.payload.size());
+    hub->metrics.counter("ckpt.bytes_allocated").add(img.payload.capacity());
+  }
   img.kind = portable ? ckpt::ImageKind::kPortable : ckpt::ImageKind::kNative;
   img.repr_code = process_.host().machine().repr_code();
-  img.payload = c.encode();
   img.file_bytes = (img.incremental
                         ? ckpt::kIncrementalBaseBytes
                         : (portable ? ckpt::kPortableBaseBytes : ckpt::kNativeBaseBytes)) +
@@ -433,16 +467,20 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
         "repr-mismatch",
         "native checkpoint cannot restore on a different machine representation");
   }
-  auto container = Container::decode(img->payload);
-  if (!container.ok()) return container.error();
-  Container c = std::move(container).take();
+  auto decoded = ContainerView::decode(img->payload);
+  if (!decoded.ok()) return decoded.error();
+  ContainerView& c = decoded.value();
 
+  util::Bytes app_state;
   if (img->incremental) {
     // Resolve the delta chain: read ancestors back to the last full image
-    // (each read is a real disk read), then apply deltas oldest-first.
-    std::vector<util::Bytes> deltas = {std::move(c.app_state)};
+    // (each read is a real disk read), then apply the deltas oldest-first,
+    // in place on one buffer holding the full image's state.
+    std::vector<util::BytesView> deltas = {c.app_state};
+    // Owns the ancestors' payloads the delta views point into (moving a
+    // payload into the vector keeps its heap buffer, so the views survive).
+    std::vector<util::Bytes> ancestors;
     uint64_t at = img->base_epoch;
-    util::Bytes base;
     for (;;) {
       auto ancestor = process_.store().get(
           process_.host(), ckpt::CkptKey{process_.job().name, process_.rank(), at});
@@ -450,27 +488,26 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
         return util::Error::make("missing", "incremental chain broken at epoch " +
                                                 std::to_string(at));
       }
-      auto anc_container = Container::decode(ancestor->payload);
-      if (!anc_container.ok()) return anc_container.error();
+      ancestors.push_back(std::move(ancestor->payload));
+      auto anc = ContainerView::decode(ancestors.back());
+      if (!anc.ok()) return anc.error();
       if (!ancestor->incremental) {
-        base = std::move(anc_container.value().app_state);
+        app_state.assign(anc.value().app_state.begin(), anc.value().app_state.end());
         break;
       }
-      deltas.push_back(std::move(anc_container.value().app_state));
+      deltas.push_back(anc.value().app_state);
       at = ancestor->base_epoch;
     }
     for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-      auto applied = ckpt::incremental_apply(base, *it);
-      if (!applied.ok()) return applied.error();
-      base = std::move(applied).take();
+      if (auto s = ckpt::incremental_apply_into(app_state, *it); !s.ok()) return s.error();
     }
-    c.app_state = std::move(base);
+  } else {
+    app_state.assign(c.app_state.begin(), c.app_state.end());
   }
   // Seed the incremental chain so post-restore epochs diff against the
-  // restored state.
+  // restored state (through its fingerprints; the state itself is not kept).
   if (process_.job().incremental_ckpt) {
-    prev_app_state_ = c.app_state;
-    page_cache_.rebuild(prev_app_state_);
+    page_cache_.rebuild(app_state);
     prev_epoch_ = epoch;
     have_prev_ = true;
   }
@@ -487,7 +524,7 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   RestoredState out;
   out.kind = img->kind;
   out.repr_code = img->repr_code;
-  out.app_state = std::move(c.app_state);
+  out.app_state = std::move(app_state);
   return out;
 }
 

@@ -24,6 +24,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "ckpt/image.hpp"
@@ -84,9 +85,10 @@ class CrModule {
   void finish_chandy_lamport();
   void take_uncoordinated_checkpoint();
   /// Serializes {tracker, app state, channel state, recorded messages} into
-  /// one image and writes it to the store under `epoch`.
-  void store_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
-                   const std::vector<mpi::Envelope>& recorded);
+  /// one exactly-sized image payload (the app state, or on a delta epoch its
+  /// dirty pages, copied in once) and writes it to the store under `epoch`.
+  void store_image(uint64_t epoch, util::BytesView app_state, util::BytesView channel_state,
+                   std::span<const mpi::Envelope> recorded);
   void handle_ack(uint64_t epoch, uint32_t from);
 
   ApplicationProcess& process_;
@@ -112,9 +114,9 @@ class CrModule {
   std::set<uint32_t> cl_markers_from_;
   std::vector<mpi::Envelope> cl_recorded_;
 
-  // Incremental checkpointing state (previous epoch's resolved app state,
-  // plus its per-page fingerprints so delta epochs never re-read it).
-  util::Bytes prev_app_state_;
+  // Incremental checkpointing state: the previous epoch's per-page
+  // fingerprints (warm whenever have_prev_ is set). Delta epochs diff
+  // against them alone, so the previous state itself is not kept.
   ckpt::PageHashCache page_cache_;
   uint64_t prev_epoch_ = 0;
   bool have_prev_ = false;

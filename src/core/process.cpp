@@ -152,6 +152,7 @@ void ApplicationProcess::set_state_restore(std::function<void(const util::Bytes&
     fn(pending_restore_blob_);
     restored_ = true;
     have_pending_restore_ = false;
+    pending_restore_blob_ = {};  // the hook took its copy; release the blob
   }
 }
 
@@ -244,7 +245,7 @@ bool ApplicationProcess::apply_restore() {
                      ? ckpt::ImageKind::kPortable  // same encoding; repr was verified
                      : restored.value().kind;
     inner.repr_code = restored.value().repr_code;
-    inner.payload = restored.value().app_state;
+    inner.payload = std::move(restored.value().app_state);
     auto state = ckpt::portable_decode(inner, host_.machine());
     if (!state.ok()) {
       fail_app("VM state conversion failed: " + state.error().to_string());
@@ -257,7 +258,7 @@ bool ApplicationProcess::apply_restore() {
     return true;
   }
   // Native app: stash the blob; the app body claims it via its restore hook.
-  pending_restore_blob_ = restored.value().app_state;
+  pending_restore_blob_ = std::move(restored.value().app_state);
   have_pending_restore_ = true;
   restored_ = true;
   return true;

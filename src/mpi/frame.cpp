@@ -5,10 +5,12 @@ namespace starfish::mpi {
 namespace {
 /// Fixed bytes of the wire header: kind(1) + comm/src/dst/tag(4 each) +
 /// seq(8) + interval(4) + total(8) + payload length prefix(4).
-constexpr size_t kHeaderBytes = 1 + 4 * 4 + 8 + 4 + 8;
+constexpr size_t kHeaderBytes = 1 + 4 * 4 + 8 + 4 + 8 + 4;
 }  // namespace
 
 util::SharedBytes Frame::encode() const {
+  // Sized exactly once: the payload's length-prefixed append then fits
+  // without reallocating the buffer.
   util::Bytes out;
   util::Writer w(out);
   w.reserve(kHeaderBytes + payload.size());

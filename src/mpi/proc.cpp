@@ -516,12 +516,17 @@ util::Bytes Proc::capture_channel_state() const {
   // RTS placeholders are skipped: their payloads arrive later and are
   // recorded by the snapshot tap (freeze/drain_for_snapshot converted any
   // queued RTS into pending arrivals already).
-  util::Bytes out;
-  util::Writer w(out);
+  // Sized exactly up front: one allocation, however many messages.
   uint32_t count = 0;
+  size_t total = sizeof(uint32_t);
   for (const auto& env : unexpected_) {
-    if (!env.is_rts) ++count;
+    if (env.is_rts) continue;
+    ++count;
+    total += 5 * sizeof(uint32_t) + env.data.size();
   }
+  util::Bytes out;
+  out.reserve(total);
+  util::Writer w(out);
   w.u32(count);
   for (const auto& env : unexpected_) {
     if (env.is_rts) continue;
@@ -534,10 +539,10 @@ util::Bytes Proc::capture_channel_state() const {
   return out;
 }
 
-void Proc::restore_channel_state(const util::Bytes& blob, std::vector<Envelope> recorded) {
+void Proc::restore_channel_state(util::BytesView blob, std::vector<Envelope> recorded) {
   std::deque<Envelope> live;
   live.swap(unexpected_);
-  util::Reader r(util::as_bytes_view(blob));
+  util::Reader r(blob);
   const uint32_t n = r.u32().value_or(0);
   for (uint32_t i = 0; i < n; ++i) {
     Envelope env;

@@ -148,7 +148,7 @@ class Proc {
   /// (Chandy–Lamport). Ordering: saved unexpected queue, then recordings,
   /// then whatever already arrived live while this process was restoring —
   /// live traffic logically follows everything the checkpoint saved.
-  void restore_channel_state(const util::Bytes& blob, std::vector<Envelope> recorded = {});
+  void restore_channel_state(util::BytesView blob, std::vector<Envelope> recorded = {});
   /// Test hook: queues one message as if it had arrived.
   void inject_unexpected(Envelope env);
 

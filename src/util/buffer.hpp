@@ -151,12 +151,9 @@ class Writer {
   void str(std::string_view s) {
     bytes(std::as_bytes(std::span<const char>(s.data(), s.size())));
   }
-  /// Raw append without a length prefix.
-  void raw(std::span<const std::byte> data) {
-    const size_t at = out_.size();
-    out_.resize(at + data.size());
-    if (!data.empty()) std::memcpy(out_.data() + at, data.data(), data.size());
-  }
+  /// Raw append without a length prefix. Copies straight into spare
+  /// capacity: no zero-fill of the tail before the copy overwrites it.
+  void raw(std::span<const std::byte> data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
   // --- bulk appends (SIMD byteswap/convert; one resize, no per-element
   // shifting loop). Wire layout is identical to calling the per-element

@@ -444,6 +444,72 @@ TEST(Incremental, ApplyRejectsWrongPageLength) {
   EXPECT_FALSE(incremental_apply({}, delta).ok());
 }
 
+TEST(Incremental, ApplyIntoLeavesStateUntouchedOnHostileDelta) {
+  // Validation runs before the first write: a delta that fails on its last
+  // record (a repeated page) must not have applied its first one.
+  const util::Bytes page(kPageBytes, std::byte{9});
+  util::Bytes delta;
+  util::Writer w(delta);
+  w.u64(3 * kPageBytes);  // also a size change the apply must not perform
+  w.u32(2);
+  w.u32(1);
+  w.bytes(util::as_bytes_view(page));
+  w.u32(1);
+  w.bytes(util::as_bytes_view(page));
+  util::Bytes state(2 * kPageBytes, std::byte{4});
+  const util::Bytes before = state;
+  EXPECT_FALSE(incremental_apply_into(state, util::as_bytes_view(delta)).ok());
+  EXPECT_EQ(state, before);
+}
+
+TEST(Incremental, ApplyIntoMatchesApplyAcrossGrowthAndShrink) {
+  util::Rng rng(11);
+  util::Bytes state(3 * kPageBytes + 9, std::byte{2});
+  util::Bytes in_place = state;
+  for (size_t len : {5 * kPageBytes + 1, 2 * kPageBytes, 2 * kPageBytes - 3, 4 * kPageBytes}) {
+    util::Bytes next(len, std::byte{2});
+    for (int k = 0; k < 4; ++k) next[rng.below(len)] = static_cast<std::byte>(rng.below(256));
+    const util::Bytes delta = incremental_encode(state, next, nullptr);
+    auto by_value = incremental_apply(state, delta);
+    ASSERT_TRUE(by_value.ok());
+    ASSERT_TRUE(incremental_apply_into(in_place, util::as_bytes_view(delta)).ok());
+    EXPECT_EQ(in_place, next);
+    EXPECT_EQ(by_value.value(), next);
+    state = next;
+  }
+}
+
+TEST(Incremental, WarmCacheDiffsWithoutThePreviousState) {
+  // The C/R module keeps only the previous epoch's fingerprints: with a
+  // warm cache the scan must find the same pages as a byte compare, and a
+  // delta written from that list must equal the by-value encoder's, in a
+  // buffer sized exactly once.
+  util::Bytes prev(9 * kPageBytes + 300, std::byte{1});
+  util::Bytes cur = prev;
+  cur[2 * kPageBytes] = std::byte{5};
+  cur[7 * kPageBytes + 4000] = std::byte{6};
+  cur.resize(cur.size() + kPageBytes, std::byte{7});  // growth re-sends the old tail page
+  PageHashCache cache;
+  cache.rebuild(util::as_bytes_view(prev));
+  EncodeStats stats;
+  const std::vector<uint32_t> dirty = dirty_pages({}, util::as_bytes_view(cur), &cache, &stats);
+  EXPECT_EQ(dirty, (std::vector<uint32_t>{2, 7, 9, 10}));
+  EXPECT_EQ(stats.pages_dirty, 4u);
+  EXPECT_EQ(stats.pages_hashed, 11u);
+  EXPECT_EQ(cache.state_len, cur.size());
+
+  util::Bytes out;
+  out.reserve(delta_bytes(cur.size(), dirty));
+  const size_t reserved = out.capacity();
+  util::Writer w(out);
+  write_delta(w, util::as_bytes_view(cur), dirty);
+  EXPECT_EQ(out.size(), reserved);
+  EXPECT_EQ(out.capacity(), reserved);
+  const util::Bytes by_value = incremental_encode(prev, cur, nullptr);
+  EXPECT_EQ(out, by_value);
+  EXPECT_EQ(by_value.capacity(), by_value.size());
+}
+
 // ----------------------------------------------------------- recovery ----
 
 TEST(Recovery, NoMessagesNoRollback) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "ckpt/incremental.hpp"
 #include "core/bus.hpp"
 #include "core/cluster.hpp"
+#include "obs/obs.hpp"
 
 namespace starfish::core {
 namespace {
@@ -785,6 +788,153 @@ TEST(IncrementalCheckpoint, RestoreFromDeltaEpochResolvesChain) {
   ASSERT_TRUE(f.cluster.run_until_done("inc"));
   EXPECT_TRUE(
       output_contains(f.cluster.output("inc"), std::to_string(expected_ring_token(3, 40))));
+}
+
+// Native app for the incremental write-path tests: kStripeStateBytes of
+// state whose first 8 bytes are the step counter. Every 10 ms step rewrites
+// one 64-byte stripe on each of two (rank, step)-chosen pages, so a delta
+// epoch carries a few dirty pages out of 64. Prints its final-state
+// fingerprint. The capture hook shares ownership of the state: a checkpoint
+// wave can still capture a rank whose body has already returned.
+constexpr size_t kStripeStateBytes = 64 * ckpt::kPageBytes;
+
+void stripe_writer(AppContext& ctx, int64_t steps) {
+  auto owned = std::make_shared<util::Bytes>(kStripeStateBytes, std::byte{0});
+  util::Bytes& state = *owned;
+  auto step_of = [&] {
+    int64_t s = 0;
+    std::memcpy(&s, state.data(), sizeof s);
+    return s;
+  };
+  ctx.set_state_capture([owned] { return *owned; });
+  ctx.set_state_restore([&](const util::Bytes& b) { state = b; });
+  while (step_of() < steps) {
+    ctx.compute(milliseconds(10));
+    const int64_t s = step_of() + 1;
+    for (uint64_t j = 0; j < 2; ++j) {
+      const uint64_t d = (uint64_t{ctx.rank()} + 1) * 0x9E3779B97F4A7C15ull ^
+                         (static_cast<uint64_t>(s) * 2 + j) * 0xC2B2AE3D27D4EB4Full;
+      const size_t page = 1 + d % (kStripeStateBytes / ckpt::kPageBytes - 1);
+      const size_t off = page * ckpt::kPageBytes + (d >> 20) % (ckpt::kPageBytes - 64);
+      std::memset(state.data() + off, static_cast<int>(d >> 8) & 0xff, 64);
+    }
+    std::memcpy(state.data(), &s, sizeof s);
+  }
+  ctx.print("fp " + std::to_string(ctx.rank()) + " " +
+            std::to_string(ckpt::page_fingerprint(util::as_bytes_view(state))));
+}
+
+JobSpec stripe_job(const std::string& name, uint32_t nprocs) {
+  JobSpec job;
+  job.name = name;
+  job.binary = "stripes";
+  job.nprocs = nprocs;
+  job.policy = FtPolicy::kRestart;
+  job.protocol = CrProtocol::kStopAndSync;
+  job.level = CkptLevel::kNative;
+  job.ckpt_interval = milliseconds(40);
+  job.incremental_ckpt = true;
+  return job;
+}
+
+TEST(IncrementalCheckpoint, NativeCrashAfterDeltaEpochRestoresAndTakesMoreDeltas) {
+  auto run = [](bool crash) {
+    Fixture f(3);
+    f.cluster.registry().register_native("stripes",
+                                         [](AppContext& ctx) { stripe_writer(ctx, 100); });
+    const JobSpec job = stripe_job("stripes", 3);
+    f.cluster.submit(job);
+    uint64_t restored_epoch = 0;
+    if (crash) {
+      // Run until the recovery line is a delta epoch, then kill a rank's node:
+      // the restart resolves full image + deltas and must keep taking deltas.
+      for (int i = 0; i < 400; ++i) {
+        f.cluster.run_for(milliseconds(5));
+        auto c = f.cluster.store().latest_committed("stripes");
+        if (c && *c >= 2 && !ckpt::is_full_epoch(*c)) {
+          restored_epoch = *c;
+          break;
+        }
+      }
+      EXPECT_NE(restored_epoch, 0u) << "no delta epoch committed";
+      f.cluster.crash_node(1);
+    }
+    EXPECT_TRUE(f.cluster.run_until_done("stripes"));
+    if (crash) {
+      auto last = f.cluster.store().latest_committed("stripes");
+      EXPECT_TRUE(last.has_value());
+      int deltas_after = 0;
+      for (uint64_t e = restored_epoch + 1; last && e <= *last; ++e) {
+        if (!ckpt::is_full_epoch(e)) ++deltas_after;
+      }
+      EXPECT_GE(deltas_after, 2) << "restored at " << restored_epoch;
+      // The newest epoch's chain is retained, and every non-full link was
+      // stored as a delta: its file is the incremental base plus a few dirty
+      // pages, far below a full native dump.
+      for (uint64_t e = ckpt::last_full_at_or_before(*last); last && e <= *last; ++e) {
+        const auto bytes = f.cluster.store().file_bytes(ckpt::CkptKey{"stripes", 0, e});
+        EXPECT_EQ(bytes.value_or(0) < ckpt::kNativeBaseBytes, !ckpt::is_full_epoch(e))
+            << "epoch " << e;
+        EXPECT_TRUE(bytes.has_value()) << "epoch " << e;
+      }
+    }
+    auto out = f.cluster.output("stripes");
+    std::vector<std::string> fps;
+    for (const auto& line : out) {
+      if (line.find("fp ") != std::string::npos) fps.push_back(line);
+    }
+    std::sort(fps.begin(), fps.end());
+    return fps;
+  };
+  const auto clean = run(false);
+  ASSERT_EQ(clean.size(), 3u);
+  EXPECT_EQ(run(true), clean);
+}
+
+TEST(IncrementalCheckpoint, PayloadBytesAreWrittenOnceIntoExactBuffers) {
+  // One rank, so every stored image is one epoch: per image, the C/R module
+  // writes the captured state (full) or its dirty pages (delta) plus the
+  // container and delta headers into the payload, once, into a buffer
+  // allocated at exactly that size.
+  obs::Hub hub;
+  Fixture f(1);
+  f.cluster.engine().set_obs(&hub);
+  f.cluster.registry().register_native("stripes",
+                                       [](AppContext& ctx) { stripe_writer(ctx, 120); });
+  f.cluster.submit(stripe_job("solo", 1));
+  auto counter = [&](const char* name) { return hub.metrics.counter(name).value(); };
+  uint64_t taken = 0, copied = 0, allocated = 0, dirty = 0;
+  uint64_t full_headers = 0;
+  int fulls = 0, deltas = 0;
+  for (int i = 0; i < 2000 && f.cluster.phase("solo") != AppPhase::kCompleted; ++i) {
+    f.cluster.run_for(milliseconds(1));
+    if (counter("ckpt.checkpoints_taken") == taken) continue;
+    ASSERT_EQ(counter("ckpt.checkpoints_taken"), taken + 1);
+    ++taken;
+    const uint64_t c = counter("ckpt.bytes_copied") - copied;
+    const uint64_t a = counter("ckpt.bytes_allocated") - allocated;
+    const uint64_t d = counter("ckpt.pages_dirty") - dirty;
+    copied += c;
+    allocated += a;
+    dirty += d;
+    EXPECT_EQ(a, c) << "image " << taken << " payload buffer not exactly sized";
+    if (ckpt::is_full_epoch(taken)) {
+      ++fulls;
+      ASSERT_GE(c, kStripeStateBytes);
+      full_headers = c - kStripeStateBytes;  // container framing + tracker + channel
+      EXPECT_LE(full_headers, 64u);
+    } else {
+      ++deltas;
+      EXPECT_GT(d, 0u);
+      EXPECT_LT(d, kStripeStateBytes / ckpt::kPageBytes);
+      // Delta header (u64 length + u32 count) and a u32 index + u32 length
+      // per page, inside the same container as the full epoch.
+      EXPECT_EQ(c, d * ckpt::kPageBytes + 12 + 8 * d + full_headers) << "image " << taken;
+    }
+  }
+  EXPECT_EQ(f.cluster.phase("solo"), AppPhase::kCompleted);
+  EXPECT_GE(fulls, 2);
+  EXPECT_GE(deltas, 4);
 }
 
 // ---------------------------------------------------- MPI-2 dynamic spawn ----
