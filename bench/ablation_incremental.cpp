@@ -1,5 +1,5 @@
 // Incremental-checkpointing ablation (libckpt's optimization, paper §6),
-// plus the PR10 compressed-epoch sweep.
+// crossed with the payload compression lever.
 //
 // Part 1 — a native application with a large, sparsely-mutating state
 // checkpoints periodically under stop-and-sync. Full images rewrite the
@@ -7,24 +7,22 @@
 // (with a full anchor every 4 epochs). We compare bytes written and
 // checkpoint latency.
 //
-// Part 2 — the same sparse workload swept across the codec lever
-// (STARFISH_CKPT_COMPRESS): off / lz / delta / delta+lz, reporting disk
-// bytes written, the ckpt.codec.* raw-vs-encoded ratio, and mean epoch
-// latency. The codec delta is the store-side cousin of part 1's page
-// tracker: full images go in, O(dirty pages) frames hit the disk.
+// Part 2 — the same sparse workload at 1 MB, {full, incremental} images x
+// STARFISH_CKPT_COMPRESS {off, lz}, on disk: bytes written, the
+// ckpt.codec.* raw-vs-encoded ratio, and mean epoch latency. Incremental
+// images are the one chained page delta; lz shrinks whatever payload an
+// image carries.
 //
-// Part 3 — replica warm-ship accounting: with the delta codec on, a warm
-// epoch ships only its literal pages to each holder. We measure cold
-// (anchor) and warm (one dirty page) ship bytes under off and delta+lz;
-// the acceptance line is a >= 3x warm reduction with the cold ship
-// unchanged (incompressible anchors fall back to raw frames).
+// Part 3 — the same four configurations under the replica backend (4
+// nodes, R=2 holders): bytes shipped to holders. The replica tier diffs
+// each payload against what a holder already has, so full images at `off`
+// already ship O(dirty pages) on warm epochs.
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "ckpt/codec.hpp"
 #include "ckpt/replica.hpp"
 #include "ckpt/store.hpp"
-#include "net/network.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 
@@ -39,10 +37,11 @@ struct Outcome {
   uint64_t epochs = 0;
   uint64_t codec_raw = 0;      ///< ckpt.codec.raw_bytes (0 when mode is off)
   uint64_t codec_encoded = 0;  ///< ckpt.codec.encoded_bytes
+  uint64_t shipped = 0;        ///< replica bytes shipped (replica backend only)
 };
 
 Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
-            ckpt::CompressMode mode = ckpt::CompressMode::kOff) {
+            ckpt::CompressMode mode = ckpt::CompressMode::kOff, bool replica = false) {
   obs::Hub hub;
   obs::set_default_hub(&hub);
   Outcome out;
@@ -50,6 +49,11 @@ Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
     core::ClusterOptions opts;
     opts.nodes = 2;
     opts.ckpt_compress = mode;
+    if (replica) {
+      opts.nodes = 4;
+      opts.ckpt_backend = ckpt::CkptBackend::kReplica;
+      opts.ckpt_replication = 2;
+    }
     core::Cluster cluster(opts);
     cluster.registry().register_native("sparse", [state_bytes,
                                                   dirty_pages_per_step](core::AppContext& ctx) {
@@ -92,58 +96,26 @@ Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
     if (const auto* c = hub.metrics.find_counter("ckpt.codec.encoded_bytes")) {
       out.codec_encoded = c->value();
     }
+    if (const ckpt::ReplicaStore* r = cluster.store().replicas()) out.shipped = r->bytes_shipped();
   }
   obs::set_default_hub(nullptr);
   return out;
 }
 
-// ------------------------------------------------ replica warm ship ----
-
-struct ShipOutcome {
-  uint64_t cold = 0;  ///< bytes shipped for the epoch-1 anchor (both holders)
-  uint64_t warm = 0;  ///< bytes shipped for the 1-dirty-page epoch 2
+/// One point of the Part 2/3 sweep.
+struct Config {
+  bool incremental;
+  ckpt::CompressMode mode;
 };
 
-/// Direct-store harness (same shape as the ReplicaWarmShip test): one rank,
-/// a 64-page incompressible payload replicated to two holders, then a warm
-/// epoch that rewrites 16 pages with structured (compressible) content —
-/// the shape of a tracker table growing by a wave of similar records. The
-/// replica tier's own page diff already skips clean pages under `off`, so
-/// the codec's win here is lz shrinking the dirty literals below page
-/// granularity. Deterministic — no cluster scheduling in the measurement.
-ShipOutcome warm_ship(ckpt::CompressMode mode) {
-  sim::Engine eng;
-  net::Network net{eng};
-  for (int i = 0; i < 4; ++i) net.add_host("node" + std::to_string(i));
-  ckpt::CheckpointStore store{eng};
-  store.enable_replica_backend(net);
-  store.set_backend(ckpt::CkptBackend::kReplica);
-  store.set_compress_mode(mode);
-  util::Rng rng(7);
-  util::Bytes cold_payload(64 * ckpt::kPageBytes);
-  for (auto& b : cold_payload) b = static_cast<std::byte>(rng.next() & 0xff);
-  util::Bytes warm_payload = cold_payload;
-  for (size_t i = 0; i < 16 * ckpt::kPageBytes; ++i) {
-    const size_t rec = i / 32;
-    warm_payload[9 * ckpt::kPageBytes + i] =
-        static_cast<std::byte>(i % 32 < 4 ? (rec >> (8 * (i % 32))) & 0xff : (i % 32) * 7);
-  }
-  auto image = [](util::Bytes payload) {
-    ckpt::Image img;
-    img.kind = ckpt::ImageKind::kPortable;
-    img.file_bytes = ckpt::kPortableBaseBytes + payload.size();
-    img.payload = std::move(payload);
-    return img;
-  };
-  ShipOutcome out;
-  net.host(0)->spawn("writer", [&] {
-    store.put(*net.host(0), ckpt::CkptKey{"app", 0, 1}, image(cold_payload), {1, 2});
-    out.cold = store.replicas()->bytes_shipped();
-    store.put(*net.host(0), ckpt::CkptKey{"app", 0, 2}, image(warm_payload), {1, 2});
-    out.warm = store.replicas()->bytes_shipped() - out.cold;
-  });
-  eng.run();
-  return out;
+constexpr Config kSweep[] = {{false, ckpt::CompressMode::kOff},
+                             {false, ckpt::CompressMode::kLz},
+                             {true, ckpt::CompressMode::kOff},
+                             {true, ckpt::CompressMode::kLz}};
+
+std::string config_name(const Config& c) {
+  return std::string(c.incremental ? "incremental" : "full") + "+" +
+         ckpt::compress_mode_name(c.mode);
 }
 
 }  // namespace
@@ -175,18 +147,16 @@ int main(int argc, char** argv) {
   std::printf("\nshape checks: bytes written drop by the dirty-page ratio; checkpoint\n"
               "latency drops with them (less data on the disk's critical path).\n");
 
-  benchutil::header("Compressed-epoch sweep: STARFISH_CKPT_COMPRESS x disk bytes");
-  std::printf("same sparse workload, full (non-incremental) images, 1 MB state;\n"
-              "the codec lever turns those full puts into lz / delta frames\n\n");
-  std::printf("%10s %14s %14s %12s %14s\n", "mode", "bytes written", "codec ratio",
+  benchutil::header("Compression sweep: {full, incremental} x STARFISH_CKPT_COMPRESS, disk");
+  std::printf("same sparse workload, 1 MB state; incremental images carry the\n"
+              "dirty pages, lz codes whatever payload an image carries\n\n");
+  std::printf("%16s %14s %14s %12s %14s\n", "config", "bytes written", "codec ratio",
               "reduction", "mean ckpt [s]");
-  double off_bytes = 0;
-  for (ckpt::CompressMode mode :
-       {ckpt::CompressMode::kOff, ckpt::CompressMode::kLz, ckpt::CompressMode::kDelta,
-        ckpt::CompressMode::kDeltaLz}) {
+  double full_off_bytes = 0;
+  for (const Config& c : kSweep) {
     benchutil::HostTimer timer;
-    const Outcome o = run(false, 1024 * 1024, 4, mode);
-    if (mode == ckpt::CompressMode::kOff) off_bytes = static_cast<double>(o.bytes);
+    const Outcome o = run(c.incremental, 1024 * 1024, 4, c.mode);
+    if (full_off_bytes == 0) full_off_bytes = static_cast<double>(o.bytes);
     char ratio[32], red[32];
     if (o.codec_raw > 0 && o.codec_encoded > 0) {
       std::snprintf(ratio, sizeof ratio, "%.1fx",
@@ -194,47 +164,38 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(ratio, sizeof ratio, "-");
     }
-    std::snprintf(red, sizeof red, "%.1fx", off_bytes / static_cast<double>(o.bytes));
-    std::printf("%10s %14s %14s %12s %14.4f\n", ckpt::compress_mode_name(mode),
+    std::snprintf(red, sizeof red, "%.1fx", full_off_bytes / static_cast<double>(o.bytes));
+    std::printf("%16s %14s %14s %12s %14.4f\n", config_name(c).c_str(),
                 util::format_bytes(o.bytes).c_str(), ratio, red, o.mean_epoch_s);
-    reporter.add({.name = std::string("ckpt_codec/disk/mode=") + ckpt::compress_mode_name(mode),
+    reporter.add({.name = "ckpt_codec/disk/config=" + config_name(c),
                   .host_ns = timer.ns(),
                   .sim_ns = static_cast<uint64_t>(sim::seconds(o.mean_epoch_s)),
                   .value = static_cast<double>(o.bytes)});
   }
   std::printf("\nshape checks: the zero-heavy sparse state compresses hard under lz;\n"
-              "delta adds the O(dirty pages) warm epochs on top. Mean epoch latency\n"
-              "must not regress vs off — smaller files spend less time on the disk.\n");
+              "incremental images add the O(dirty pages) warm epochs on top. Mean epoch\n"
+              "latency must not regress vs full+off — smaller files spend less time on\n"
+              "the disk.\n");
 
-  benchutil::header("Replica warm-ship: delta+lz vs off (bytes to holders per epoch)");
-  std::printf("1 rank, 64-page incompressible state, R=2 holders; epoch 1 is the\n"
-              "full anchor, epoch 2 rewrites 16 pages with structured records\n\n");
-  std::printf("%10s %14s %14s\n", "mode", "cold [B]", "warm [B]");
-  ShipOutcome ship[2];
-  int idx = 0;
-  for (ckpt::CompressMode mode : {ckpt::CompressMode::kOff, ckpt::CompressMode::kDeltaLz}) {
+  benchutil::header("Replica backend: bytes shipped to holders");
+  std::printf("same sweep, 4 nodes, R=2 holders per image\n\n");
+  std::printf("%16s %14s %12s %14s\n", "config", "shipped", "reduction", "mean ckpt [s]");
+  double full_off_shipped = 0;
+  for (const Config& c : kSweep) {
     benchutil::HostTimer timer;
-    ship[idx] = warm_ship(mode);
-    std::printf("%10s %14llu %14llu\n", ckpt::compress_mode_name(mode),
-                static_cast<unsigned long long>(ship[idx].cold),
-                static_cast<unsigned long long>(ship[idx].warm));
-    reporter.add({.name = std::string("ckpt_codec/replica_warm_bytes/mode=") +
-                          ckpt::compress_mode_name(mode),
+    const Outcome o = run(c.incremental, 1024 * 1024, 4, c.mode, /*replica=*/true);
+    if (full_off_shipped == 0) full_off_shipped = static_cast<double>(o.shipped);
+    char red[32];
+    std::snprintf(red, sizeof red, "%.1fx", full_off_shipped / static_cast<double>(o.shipped));
+    std::printf("%16s %14s %12s %14.4f\n", config_name(c).c_str(),
+                util::format_bytes(o.shipped).c_str(), red, o.mean_epoch_s);
+    reporter.add({.name = "ckpt_codec/replica_shipped/config=" + config_name(c),
                   .host_ns = timer.ns(),
-                  .value = static_cast<double>(ship[idx].warm)});
-    reporter.add({.name = std::string("ckpt_codec/replica_cold_bytes/mode=") +
-                          ckpt::compress_mode_name(mode),
-                  .host_ns = timer.ns(),
-                  .value = static_cast<double>(ship[idx].cold)});
-    ++idx;
+                  .sim_ns = static_cast<uint64_t>(sim::seconds(o.mean_epoch_s)),
+                  .value = static_cast<double>(o.shipped)});
   }
-  const double warm_red = static_cast<double>(ship[0].warm) / static_cast<double>(ship[1].warm);
-  const double cold_ratio = static_cast<double>(ship[1].cold) / static_cast<double>(ship[0].cold);
-  std::printf("\nwarm reduction %.1fx (acceptance: >= 3x); cold ratio %.3f\n"
-              "(acceptance: <= 1.05 — incompressible anchors fall back to raw)\n",
-              warm_red, cold_ratio);
-  reporter.add({.name = "ckpt_codec/replica_warm_reduction", .value = warm_red});
-  reporter.add({.name = "ckpt_codec/replica_cold_ratio", .value = cold_ratio});
+  std::printf("\nshape check: the holders' page diff already makes warm full+off ships\n"
+              "O(dirty pages); lz shrinks every ship.\n");
 
   if (!reporter.write("ablation_incremental")) return 1;
   return 0;

@@ -60,15 +60,15 @@ STARFISH_CKPT_BACKEND=replica ctest --output-on-failure -R 'Chaos|Replica' -j "$
 # rides along to pin stream equivalence in the instrumented tree.
 [ "$(ctest -N | grep -c "GcsDifferential")" -gt 0 ] || { echo "gcs differential tests missing from ctest registration" >&2; exit 1; }
 STARFISH_GCS_TOPOLOGY=tree ctest --output-on-failure -R 'Chaos|Group|GcsDifferential' -j "$@"
-# Checkpoint tiers again across the compressed-epoch lever: `off` pins the
-# uncoded pipeline even if the default ever moves, and `delta+lz` routes
-# every cluster whose test did not pin a mode through lz-coded delta frames
-# (chunked ship, chained restore), sanitizing the codec's encode/decode and
-# the corrupt-chain fallback paths under injected faults. The codec property
-# and store differential suites ride along in both tiers.
+# Checkpoint tiers again across the compression lever: `off` pins the
+# uncoded pipeline even if the default ever moves, and `lz` routes every
+# cluster whose test did not pin a mode through lz frames (chunked ship,
+# incremental chains where the job asks for them), sanitizing the codec's
+# encode/decode and the corrupt-link fallback paths under injected faults.
+# The codec property and store differential suites ride along in both tiers.
 [ "$(ctest -N | grep -c "Codec")" -gt 0 ] || { echo "ckpt codec tests missing from ctest registration" >&2; exit 1; }
 STARFISH_CKPT_COMPRESS=off ctest --output-on-failure -R 'Chaos|Replica|Codec|Compress|StoreFault' -j "$@"
-STARFISH_CKPT_COMPRESS=delta+lz ctest --output-on-failure -R 'Chaos|Replica|Codec|Compress|StoreFault' -j "$@"
+STARFISH_CKPT_COMPRESS=lz ctest --output-on-failure -R 'Chaos|Replica|Codec|Compress|StoreFault' -j "$@"
 # Data-plane tiers again with SIMD dispatch forced to the scalar reference:
 # the env repoints the kernel table, so the sanitizer sweeps the exact
 # loops the vector kernels are differenced against (the differential suite

@@ -1,14 +1,11 @@
 #include "ckpt/codec.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "ckpt/incremental.hpp"
 #include "obs/obs.hpp"
 #include "util/codec/lz.hpp"
-#include "util/simd/simd.hpp"
 
 namespace starfish::ckpt {
 
@@ -17,26 +14,15 @@ namespace {
 using util::Bytes;
 using util::BytesView;
 using util::Error;
-using util::Reader;
 using util::Result;
 using util::Status;
-using util::Writer;
-namespace simd = util::simd;
-
-constexpr uint32_t kDeltaMagic = 0x314C4453;  // "SDL1" little-endian
-constexpr uint8_t kDeltaVersion = 1;
 
 Error codec_error(const std::string& what) { return Error::make("codec", "payload: " + what); }
 
-size_t page_count(uint64_t len) { return static_cast<size_t>((len + kPageBytes - 1) / kPageBytes); }
-
-void note_encode(obs::Hub* hub, uint64_t raw_len, uint64_t enc_len, uint64_t refs,
-                 uint64_t literals) {
+void note_encode(obs::Hub* hub, uint64_t raw_len, uint64_t enc_len) {
   if (hub == nullptr) return;
   hub->metrics.counter("ckpt.codec.raw_bytes").add(raw_len);
   hub->metrics.counter("ckpt.codec.encoded_bytes").add(enc_len);
-  if (refs != 0) hub->metrics.counter("ckpt.codec.delta_page_refs").add(refs);
-  if (literals != 0) hub->metrics.counter("ckpt.codec.delta_page_literals").add(literals);
   if (enc_len != 0) {
     // Compression ratio x100 (100 = pass-through, 300 = 3x smaller).
     hub->metrics
@@ -50,158 +36,12 @@ Error note_decode_error(obs::Hub* hub, Error e) {
   return e;
 }
 
-/// Diffs `raw` against `base` page-by-page into a delta frame. Reference
-/// pages must be byte-identical at the same offset — the compare is exact
-/// (simd mismatch), not fingerprint-trusting, because the stored bytes
-/// must reconstruct bit-identically and both payloads are in memory here.
-Bytes delta_encode(BytesView raw, BytesView base, uint64_t* refs, uint64_t* literals) {
-  // Scan first, then write into one exactly-sized buffer: the literal list
-  // fixes the frame size before any byte of it is written.
-  const simd::Ops& simd = simd::ops();
-  const size_t n_pages = page_count(raw.size());
-  std::vector<uint32_t> literal_pages;
-  size_t literal_bytes = 0;
-  for (size_t p = 0; p < n_pages; ++p) {
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min(kPageBytes, raw.size() - off);
-    const bool same = off + len <= base.size() &&
-                      simd.mismatch(base.data() + off, raw.data() + off, len) == len;
-    if (same) continue;
-    literal_pages.push_back(static_cast<uint32_t>(p));
-    literal_bytes += 2 * sizeof(uint32_t) + len;
-  }
-  constexpr size_t kFixedBytes = sizeof(uint32_t) + 1 + 3 * sizeof(uint64_t) + sizeof(uint32_t) +
-                                 sizeof(uint64_t);
-  Bytes out;
-  out.reserve(kFixedBytes + literal_bytes);
-  Writer w(out);
-  w.u32(kDeltaMagic);
-  w.u8(kDeltaVersion);
-  w.u64(raw.size());
-  w.u64(base.size());
-  w.u64(simd::fingerprint(base.data(), base.size()));
-  w.u32(static_cast<uint32_t>(literal_pages.size()));
-  for (uint32_t p : literal_pages) {
-    const size_t off = size_t{p} * kPageBytes;
-    w.u32(p);
-    w.bytes(raw.subspan(off, std::min(kPageBytes, raw.size() - off)));
-  }
-  w.u64(simd::fingerprint(out.data(), out.size()));
-  if (refs != nullptr) *refs = n_pages - literal_pages.size();
-  if (literals != nullptr) *literals = literal_pages.size();
-  return out;
-}
-
-struct DeltaHeader {
-  uint64_t raw_len = 0;
-  uint64_t base_len = 0;
-  uint64_t base_check = 0;
-};
-
-struct DeltaLiteral {
-  uint32_t page = 0;
-  BytesView bytes;
-};
-
-/// Parses and checksum-verifies a delta frame; fills the header and the
-/// literal list (views into `frame`). Base-independent: everything except
-/// "does my base match" is validated here.
-Result<DeltaHeader> parse_delta(BytesView frame, std::vector<DeltaLiteral>& literals) {
-  if (frame.size() < sizeof(uint64_t)) return codec_error("delta frame too short");
-  const size_t body_len = frame.size() - sizeof(uint64_t);
-  Reader tail(frame.subspan(body_len));
-  const uint64_t want = tail.u64().value();
-  if (simd::fingerprint(frame.data(), body_len) != want) {
-    return codec_error("delta frame checksum mismatch");
-  }
-  Reader r(frame.subspan(0, body_len));
-  auto magic = r.u32();
-  if (!magic || magic.value() != kDeltaMagic) return codec_error("bad delta magic");
-  auto version = r.u8();
-  if (!version || version.value() != kDeltaVersion) {
-    return codec_error("unsupported delta version");
-  }
-  auto raw_len = r.u64();
-  auto base_len = r.u64();
-  auto base_check = r.u64();
-  auto n_literals = r.u32();
-  if (!raw_len || !base_len || !base_check || !n_literals) {
-    return codec_error("truncated delta header");
-  }
-  const size_t n_pages = page_count(raw_len.value());
-  if (n_literals.value() > n_pages) return codec_error("delta carries more pages than the payload");
-  literals.clear();
-  literals.reserve(n_literals.value());
-  uint32_t prev_page = 0;
-  for (uint32_t i = 0; i < n_literals.value(); ++i) {
-    auto page = r.u32();
-    if (!page) return codec_error("truncated delta literal");
-    if (page.value() >= n_pages) return codec_error("delta literal page beyond payload");
-    if (i != 0 && page.value() <= prev_page) {
-      return codec_error("delta literal pages not strictly increasing");
-    }
-    prev_page = page.value();
-    auto data = r.view();
-    if (!data) return codec_error("truncated delta literal");
-    const size_t off = static_cast<size_t>(page.value()) * kPageBytes;
-    const size_t expected = std::min<size_t>(kPageBytes, static_cast<size_t>(raw_len.value()) - off);
-    if (data.value().size() != expected) return codec_error("delta literal has wrong length");
-    literals.push_back({page.value(), data.value()});
-  }
-  if (!r.exhausted()) return codec_error("trailing bytes in delta frame");
-  // Every non-literal page is a base reference; references past the base's
-  // end could never have been emitted by the encoder.
-  size_t li = 0;
-  for (size_t p = 0; p < n_pages; ++p) {
-    if (li < literals.size() && literals[li].page == p) {
-      ++li;
-      continue;
-    }
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min<size_t>(kPageBytes, static_cast<size_t>(raw_len.value()) - off);
-    if (off + len > base_len.value()) return codec_error("delta references page beyond base");
-  }
-  return DeltaHeader{raw_len.value(), base_len.value(), base_check.value()};
-}
-
-Result<Bytes> delta_decode(BytesView frame, BytesView base, uint64_t max_bytes) {
-  std::vector<DeltaLiteral> literals;
-  auto header = parse_delta(frame, literals);
-  if (!header) return header.error();
-  if (header.value().raw_len > max_bytes) {
-    return codec_error("delta announces oversized payload (" +
-                       std::to_string(header.value().raw_len) + " > " +
-                       std::to_string(max_bytes) + " bytes)");
-  }
-  if (header.value().base_len != base.size() ||
-      header.value().base_check != simd::fingerprint(base.data(), base.size())) {
-    return codec_error("delta base payload mismatch");
-  }
-  const size_t raw_len = static_cast<size_t>(header.value().raw_len);
-  const size_t n_pages = page_count(raw_len);
-  Bytes out(raw_len);
-  size_t li = 0;
-  for (size_t p = 0; p < n_pages; ++p) {
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min(kPageBytes, raw_len - off);
-    if (li < literals.size() && literals[li].page == p) {
-      simd::copy(out.data() + off, literals[li].bytes.data(), len);
-      ++li;
-    } else {
-      simd::copy(out.data() + off, base.data() + off, len);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* compress_mode_name(CompressMode mode) {
   switch (mode) {
     case CompressMode::kOff: return "off";
     case CompressMode::kLz: return "lz";
-    case CompressMode::kDelta: return "delta";
-    case CompressMode::kDeltaLz: return "delta+lz";
   }
   return "off";
 }
@@ -209,57 +49,39 @@ const char* compress_mode_name(CompressMode mode) {
 std::optional<CompressMode> parse_compress_mode(std::string_view text) {
   if (text == "off") return CompressMode::kOff;
   if (text == "lz") return CompressMode::kLz;
-  if (text == "delta") return CompressMode::kDelta;
-  if (text == "delta+lz" || text == "delta_lz") return CompressMode::kDeltaLz;
   return std::nullopt;
 }
 
 CompressMode compress_mode_from_env() {
   const char* v = std::getenv("STARFISH_CKPT_COMPRESS");
   if (v == nullptr) return CompressMode::kOff;
-  return parse_compress_mode(v).value_or(CompressMode::kOff);
+  if (auto mode = parse_compress_mode(v)) return *mode;
+  // Every cluster reads the lever; say once per process that it is ignored.
+  static bool warned = false;
+  if (!warned) {
+    warned = true;
+    std::fprintf(stderr, "starfish: unknown STARFISH_CKPT_COMPRESS=%s (want off|lz), using off\n",
+                 v);
+  }
+  return CompressMode::kOff;
 }
 
-EncodedPayload encode_payload(CompressMode mode, BytesView raw, BytesView base, obs::Hub* hub) {
+EncodedPayload encode_payload(CompressMode mode, BytesView raw, obs::Hub* hub) {
   EncodedPayload result;
-  result.raw_len = raw.size();
-  const bool want_delta =
-      (mode == CompressMode::kDelta || mode == CompressMode::kDeltaLz) && !base.empty();
-  const bool want_lz = mode == CompressMode::kLz || mode == CompressMode::kDeltaLz;
-
-  Bytes candidate;
-  PayloadCodec codec = PayloadCodec::kRaw;
-  uint64_t refs = 0;
-  uint64_t literals = 0;
-  if (want_delta) {
-    candidate = delta_encode(raw, base, &refs, &literals);
-    codec = PayloadCodec::kDelta;
-    if (mode == CompressMode::kDeltaLz) {
-      candidate = util::codec::lz_compress(util::as_bytes_view(candidate));
-      codec = PayloadCodec::kDeltaLz;
+  if (mode == CompressMode::kLz) {
+    Bytes candidate = util::codec::lz_compress(raw);
+    if (candidate.size() < raw.size()) {
+      result.bytes = std::move(candidate);
+      result.codec = PayloadCodec::kLz;
     }
-  } else if (want_lz) {
-    candidate = util::codec::lz_compress(raw);
-    codec = PayloadCodec::kLz;
   }
-
-  if (codec != PayloadCodec::kRaw && candidate.size() < raw.size()) {
-    result.bytes = std::move(candidate);
-    result.codec = codec;
-    result.delta_page_refs = refs;
-    result.delta_page_literals = literals;
-  } else {
-    result.bytes.assign(raw.begin(), raw.end());
-  }
-  if (mode != CompressMode::kOff) {
-    note_encode(hub, result.raw_len, result.bytes.size(), result.delta_page_refs,
-                result.delta_page_literals);
-  }
+  if (result.codec == PayloadCodec::kRaw) result.bytes.assign(raw.begin(), raw.end());
+  if (mode != CompressMode::kOff) note_encode(hub, raw.size(), result.bytes.size());
   return result;
 }
 
-Result<Bytes> decode_payload(PayloadCodec codec, BytesView encoded, BytesView base,
-                             uint64_t max_bytes, obs::Hub* hub) {
+Result<Bytes> decode_payload(PayloadCodec codec, BytesView encoded, uint64_t max_bytes,
+                             obs::Hub* hub) {
   switch (codec) {
     case PayloadCodec::kRaw:
       if (encoded.size() > max_bytes) {
@@ -268,20 +90,6 @@ Result<Bytes> decode_payload(PayloadCodec codec, BytesView encoded, BytesView ba
       return Bytes(encoded.begin(), encoded.end());
     case PayloadCodec::kLz: {
       auto out = util::codec::lz_decompress(encoded, max_bytes);
-      if (!out) return note_decode_error(hub, out.error());
-      return std::move(out).take();
-    }
-    case PayloadCodec::kDelta: {
-      auto out = delta_decode(encoded, base, max_bytes);
-      if (!out) return note_decode_error(hub, out.error());
-      return std::move(out).take();
-    }
-    case PayloadCodec::kDeltaLz: {
-      // The delta frame is at most raw + per-page framing; bound it loosely
-      // against the same cap the payload itself carries.
-      auto frame = util::codec::lz_decompress(encoded, max_bytes + max_bytes / 2 + 4096);
-      if (!frame) return note_decode_error(hub, frame.error());
-      auto out = delta_decode(util::as_bytes_view(frame.value()), base, max_bytes);
       if (!out) return note_decode_error(hub, out.error());
       return std::move(out).take();
     }
@@ -295,50 +103,6 @@ Status verify_payload(PayloadCodec codec, BytesView encoded) {
       return Status::ok_status();
     case PayloadCodec::kLz:
       return util::codec::lz_verify(encoded);
-    case PayloadCodec::kDelta: {
-      std::vector<DeltaLiteral> literals;
-      auto header = parse_delta(encoded, literals);
-      if (!header) return header.error();
-      return Status::ok_status();
-    }
-    case PayloadCodec::kDeltaLz: {
-      // Verifying the inner delta needs the decompressed frame; the lz
-      // layer's block checksums already cover the bytes, so a clean outer
-      // verify plus a parseable inner frame is the full structural check.
-      auto frame = util::codec::lz_decompress(encoded, kMaxIncrementalStateBytes);
-      if (!frame) return frame.error();
-      std::vector<DeltaLiteral> literals;
-      auto header = parse_delta(util::as_bytes_view(frame.value()), literals);
-      if (!header) return header.error();
-      return Status::ok_status();
-    }
-  }
-  return codec_error("unknown payload codec");
-}
-
-Result<uint64_t> payload_raw_size(PayloadCodec codec, BytesView encoded) {
-  switch (codec) {
-    case PayloadCodec::kRaw:
-      return static_cast<uint64_t>(encoded.size());
-    case PayloadCodec::kLz:
-      return util::codec::lz_raw_size(encoded);
-    case PayloadCodec::kDelta: {
-      Reader r(encoded);
-      auto magic = r.u32();
-      if (!magic || magic.value() != kDeltaMagic) return codec_error("bad delta magic");
-      auto version = r.u8();
-      if (!version || version.value() != kDeltaVersion) {
-        return codec_error("unsupported delta version");
-      }
-      auto raw_len = r.u64();
-      if (!raw_len) return codec_error("truncated delta header");
-      return raw_len.value();
-    }
-    case PayloadCodec::kDeltaLz: {
-      auto frame = util::codec::lz_decompress(encoded, kMaxIncrementalStateBytes);
-      if (!frame) return frame.error();
-      return payload_raw_size(PayloadCodec::kDelta, util::as_bytes_view(frame.value()));
-    }
   }
   return codec_error("unknown payload codec");
 }

@@ -59,13 +59,6 @@ struct Image {
   /// stored/shipped. The storage layer codes on put and decodes on get, so
   /// everything above the store only ever sees kRaw images.
   PayloadCodec codec = PayloadCodec::kRaw;
-  /// Length of the raw (decoded) payload when codec != kRaw.
-  uint64_t raw_payload_bytes = 0;
-  /// For kDelta/kDeltaLz: the epoch whose raw payload this delta references
-  /// (same app/rank). Distinct from the incremental `base_epoch` chain — an
-  /// image carries at most one of the two (codec deltas apply only to
-  /// non-incremental images).
-  uint64_t codec_base_epoch = 0;
 };
 
 // ----- native (homogeneous) path -----

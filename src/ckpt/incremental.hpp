@@ -28,11 +28,10 @@ namespace starfish::ckpt {
 
 constexpr size_t kPageBytes = 4096;
 
-/// Chain anchoring grid, shared by incremental checkpointing (CrModule) and
-/// the payload delta codec (store.hpp + codec.hpp): every kFullEvery-th
-/// epoch (1, 5, 9, ...) is self-contained, bounding restore-chain length,
-/// and checkpoint gc must keep everything back to the last full epoch while
-/// any chained encoding is active.
+/// Chain anchoring grid of incremental checkpointing (CrModule): every
+/// kFullEvery-th epoch (1, 5, 9, ...) is self-contained, bounding
+/// restore-chain length, and checkpoint gc of an incremental job keeps
+/// everything back to the last full epoch.
 constexpr uint64_t kFullEvery = 4;
 constexpr bool is_full_epoch(uint64_t epoch) { return epoch % kFullEvery == 1; }
 /// Latest full epoch <= `epoch` (epoch must be >= 1).

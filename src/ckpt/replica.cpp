@@ -217,16 +217,8 @@ bool ReplicaStore::recoverable(const CkptKey& key) const {
     // A surviving but corrupt copy cannot rebuild state — structural codec
     // verification (fingerprint pass, no decode) disqualifies it here.
     if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
-    if (img.incremental) {
-      at.epoch = img.base_epoch;
-      continue;
-    }
-    if (img.codec == PayloadCodec::kDelta || img.codec == PayloadCodec::kDeltaLz) {
-      if (img.codec_base_epoch >= at.epoch) return false;
-      at.epoch = img.codec_base_epoch;
-      continue;
-    }
-    return true;
+    if (!img.incremental) return true;
+    at.epoch = img.base_epoch;
   }
 }
 

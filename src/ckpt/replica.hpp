@@ -102,10 +102,9 @@ class ReplicaStore {
   /// Highest surviving epoch/index for (app, rank), if any copy survives.
   std::optional<uint64_t> latest_stored(const std::string& app, uint32_t rank) const;
 
-  /// True iff `key` and its whole restore chain (incremental bases and
-  /// codec delta bases) each have >= 1 surviving copy whose payload passes
-  /// structural verification — the replica tier alone can rebuild this
-  /// state.
+  /// True iff `key` and its whole incremental restore chain each have >= 1
+  /// surviving copy whose payload passes structural verification — the
+  /// replica tier alone can rebuild this state.
   bool recoverable(const CkptKey& key) const;
 
   /// Test-only fault injection: flips one byte of (or truncates) the

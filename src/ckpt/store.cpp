@@ -1,58 +1,18 @@
 #include "ckpt/store.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "ckpt/incremental.hpp"
 #include "net/network.hpp"
 
 namespace starfish::ckpt {
 
-namespace {
-
-bool codec_is_delta(PayloadCodec codec) {
-  return codec == PayloadCodec::kDelta || codec == PayloadCodec::kDeltaLz;
-}
-
-}  // namespace
-
-void CheckpointStore::encode_for_store(const CkptKey& key, Image& image) {
+void CheckpointStore::encode_for_store(Image& image) {
   if (compress_ == CompressMode::kOff) return;
-  // Incremental images are neither coded against a base nor tracked as one:
-  // their payloads are already app-state deltas, and a codec delta would add
-  // a second base chain to the same image.
-  const bool chained = compress_chained() && !image.incremental;
-  const LastPayload* base_entry = nullptr;
-  if (chained && !is_full_epoch(key.epoch)) {
-    auto it = last_payloads_.find({key.app, key.rank});
-    // A usable base is newer than the gc keep line of this epoch's commit
-    // (so it survives) and still stored (so decode can resolve the chain).
-    if (it != last_payloads_.end() && it->second.epoch < key.epoch &&
-        it->second.epoch >= last_full_at_or_before(key.epoch) &&
-        (images_.contains({key.app, key.rank, it->second.epoch}) ||
-         (replica_ && replica_->contains({key.app, key.rank, it->second.epoch})))) {
-      base_entry = &it->second;
-    }
-  }
-  // Capture the base epoch now: the tracking step below rewrites the very
-  // map entry base_entry points at (this rank's slot) with the new epoch.
-  const uint64_t base_epoch = base_entry ? base_entry->epoch : 0;
-  EncodedPayload coded = encode_payload(
-      compress_, util::as_bytes_view(image.payload),
-      base_entry ? util::as_bytes_view(base_entry->raw) : util::BytesView{}, engine_.obs());
-
-  // Track this epoch's raw payload as the next delta base.
-  if (chained) {
-    LastPayload& lp = last_payloads_[{key.app, key.rank}];
-    if (key.epoch >= lp.epoch) {
-      lp.epoch = key.epoch;
-      lp.raw = image.payload;
-    }
-  }
+  EncodedPayload coded =
+      encode_payload(compress_, util::as_bytes_view(image.payload), engine_.obs());
   if (coded.codec == PayloadCodec::kRaw) return;  // coding did not pay off
   image.codec = coded.codec;
-  image.raw_payload_bytes = image.payload.size();
-  image.codec_base_epoch = codec_is_delta(coded.codec) ? base_epoch : 0;
   image.file_bytes = image.file_bytes - image.payload.size() + coded.bytes.size();
   image.payload = std::move(coded.bytes);
 }
@@ -69,7 +29,7 @@ void CheckpointStore::enable_replica_backend(net::Network& net, ReplicaOptions o
 void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
   // Code the payload first: the smaller file is what the disk write below
   // is charged for — the whole point of the compressed epoch pipeline.
-  if (image.codec == PayloadCodec::kRaw) encode_for_store(key, image);
+  if (image.codec == PayloadCodec::kRaw) encode_for_store(image);
   const uint64_t bytes = image.file_bytes;
   const sim::Time start = engine_.now();
   if (image.kind == ImageKind::kNative) {
@@ -97,7 +57,7 @@ void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
 void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image,
                           const std::vector<sim::HostId>& holders) {
   if (backend_ == CkptBackend::kReplica && replica_ && !holders.empty()) {
-    encode_for_store(key, image);  // ship the coded bytes, not the raw epoch
+    encode_for_store(image);  // ship the coded bytes, not the raw epoch
     replica_->put(host, key, std::move(image), holders);
     return;
   }
@@ -107,35 +67,12 @@ void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image,
 std::optional<Image> CheckpointStore::get(sim::Host& host, const CkptKey& key) {
   std::optional<Image> found = fetch_stored(host, key);
   if (!found || found->codec == PayloadCodec::kRaw) return found;
-  // Coded image: resolve the raw payload before handing it up. Delta
-  // chains fetch their base epoch through this same path — each ancestor
-  // read charges its real tier cost, mirroring incremental restore chains
-  // — and terminate because every link's base epoch is strictly smaller.
-  util::Bytes base;
-  if (codec_is_delta(found->codec)) {
-    if (found->codec_base_epoch >= key.epoch) {
-      if (obs::Hub* hub = engine_.obs()) {
-        hub->metrics.counter("ckpt.codec.decode_errors").add(1);
-      }
-      return std::nullopt;
-    }
-    auto b = get(host, CkptKey{key.app, key.rank, found->codec_base_epoch});
-    if (!b) {
-      if (obs::Hub* hub = engine_.obs()) {
-        hub->metrics.counter("ckpt.codec.chain_breaks").add(1);
-      }
-      return std::nullopt;
-    }
-    base = std::move(b->payload);
-  }
   auto raw = decode_payload(found->codec, util::as_bytes_view(found->payload),
-                            util::as_bytes_view(base), kMaxIncrementalStateBytes, engine_.obs());
+                            kMaxIncrementalStateBytes, engine_.obs());
   if (!raw.ok()) return std::nullopt;  // corrupt: caller falls back, never aborts
   found->file_bytes = found->file_bytes - found->payload.size() + raw.value().size();
   found->payload = std::move(raw).take();
   found->codec = PayloadCodec::kRaw;
-  found->raw_payload_bytes = 0;
-  found->codec_base_epoch = 0;
   return found;
 }
 
@@ -267,16 +204,8 @@ bool CheckpointStore::disk_chain_complete(const CkptKey& key) const {
     // A stored-but-corrupt link is as unrecoverable as a missing one; the
     // structural verify is a fingerprint pass, no decode.
     if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
-    if (img.incremental) {
-      at.epoch = img.base_epoch;
-      continue;
-    }
-    if (codec_is_delta(img.codec)) {
-      if (img.codec_base_epoch >= at.epoch) return false;
-      at.epoch = img.codec_base_epoch;
-      continue;
-    }
-    return true;
+    if (!img.incremental) return true;
+    at.epoch = img.base_epoch;
   }
 }
 
@@ -286,12 +215,12 @@ std::optional<uint64_t> CheckpointStore::latest_recoverable(const std::string& a
   if (!committed) return std::nullopt;
   const bool replica_backend = backend_ == CkptBackend::kReplica && replica_ != nullptr;
   // Disk images survive anything, and with compression off their payloads
-  // cannot have a broken codec frame either — latest_committed is the line.
+  // cannot have a broken lz frame either — latest_committed is the line.
   if (!replica_backend && compress_ == CompressMode::kOff) return committed;
   // Walk committed epochs newest-first; an epoch is recoverable when every
   // rank's restore chain survives *verifiably* in at least one tier (a
-  // corrupted codec frame disqualifies its chain the same way a dead
-  // holder does). Older epochs are usually gc'd, so the walk is short.
+  // corrupted lz frame disqualifies its chain the same way a dead holder
+  // does). Older epochs are usually gc'd, so the walk is short.
   for (uint64_t epoch = *committed; epoch >= 1; --epoch) {
     bool all = true;
     for (uint32_t rank = 0; rank < nprocs && all; ++rank) {
@@ -332,30 +261,6 @@ std::optional<uint64_t> CheckpointStore::latest_stored(const std::string& app,
   return best;
 }
 
-bool CheckpointStore::raw_payload(const CkptKey& key, util::Bytes& out,
-                                         int depth) const {
-  if (depth > static_cast<int>(kFullEvery) * 2) return false;  // corrupt chain guard
-  auto it = images_.find(key);
-  if (it == images_.end()) return false;
-  const Image& img = it->second;
-  if (img.codec == PayloadCodec::kRaw) {
-    out = img.payload;
-    return true;
-  }
-  util::Bytes base;
-  if (codec_is_delta(img.codec)) {
-    if (img.codec_base_epoch >= key.epoch) return false;
-    if (!raw_payload({key.app, key.rank, img.codec_base_epoch}, base, depth + 1)) {
-      return false;
-    }
-  }
-  auto raw = decode_payload(img.codec, util::as_bytes_view(img.payload),
-                            util::as_bytes_view(base), kMaxIncrementalStateBytes, nullptr);
-  if (!raw.ok()) return false;
-  out = std::move(raw).take();
-  return true;
-}
-
 uint64_t CheckpointStore::content_hash() const {
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](const void* data, size_t n) {
@@ -376,15 +281,20 @@ uint64_t CheckpointStore::content_hash() const {
     mix(&image.repr_code, sizeof image.repr_code);
     // Hash the *logical* image — decoded payload, pre-codec file size — so
     // the hash is invariant across compression modes: the differential
-    // suite compares stores coded off/lz/delta/delta+lz byte-for-byte. A
-    // payload whose chain no longer resolves hashes as stored (a corrupted
-    // store must not hash equal to a clean one).
+    // suite compares stores coded off and lz byte-for-byte. A payload that
+    // no longer decodes hashes as stored (a corrupted store must not hash
+    // equal to a clean one).
     uint64_t file_bytes = image.file_bytes;
     const util::Bytes* payload = &image.payload;
     util::Bytes raw;
-    if (image.codec != PayloadCodec::kRaw && raw_payload(key, raw, 0)) {
-      file_bytes = file_bytes - image.payload.size() + raw.size();
-      payload = &raw;
+    if (image.codec != PayloadCodec::kRaw) {
+      auto decoded = decode_payload(image.codec, util::as_bytes_view(image.payload),
+                                    kMaxIncrementalStateBytes, nullptr);
+      if (decoded.ok()) {
+        raw = std::move(decoded).take();
+        file_bytes = file_bytes - image.payload.size() + raw.size();
+        payload = &raw;
+      }
     }
     mix(&file_bytes, sizeof file_bytes);
     mix(payload->data(), payload->size());

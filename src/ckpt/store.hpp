@@ -69,16 +69,12 @@ class CheckpointStore {
 
   /// Payload compression policy (ckpt/codec.hpp): puts code payloads on
   /// their way into either tier, gets decode transparently, so callers
-  /// above the store never see coded bytes. Configure before any put
-  /// (Cluster does, from ClusterOptions/STARFISH_CKPT_COMPRESS).
+  /// above the store never see coded bytes. Coding is per image — no
+  /// stored payload references another — so compression never changes
+  /// which images gc may drop. Configure before any put (Cluster does,
+  /// from ClusterOptions/STARFISH_CKPT_COMPRESS).
   void set_compress_mode(CompressMode mode) { compress_ = mode; }
   CompressMode compress_mode() const { return compress_; }
-  /// True when the mode produces cross-epoch chains (delta references):
-  /// checkpoint gc must then keep everything back to the last full epoch,
-  /// exactly like incremental checkpointing.
-  bool compress_chained() const {
-    return compress_ == CompressMode::kDelta || compress_ == CompressMode::kDeltaLz;
-  }
 
   /// Writes an image, blocking the calling fiber for the local disk time
   /// (synchronous + dump setup for native images, buffered for portable).
@@ -163,32 +159,17 @@ class CheckpointStore {
   bool corrupt_payload(const CkptKey& key, size_t offset, bool truncate = false);
 
  private:
-  /// True iff `key`'s restore chain (incremental bases and codec delta
-  /// bases) is complete in the disk maps and every link's payload passes
-  /// structural verification.
+  /// True iff `key`'s incremental restore chain is complete in the disk
+  /// maps and every link's payload passes structural verification.
   bool disk_chain_complete(const CkptKey& key) const;
-  /// Codes `image`'s payload per compress_ (delta base = the raw payload
-  /// of this rank's previous stored epoch) and tracks the raw payload for
-  /// the next epoch's delta. No-op when the mode is kOff.
-  void encode_for_store(const CkptKey& key, Image& image);
-  /// The tier fetch of the old get(): returns the image as stored (payload
+  /// Codes `image`'s payload per compress_. No-op when the mode is kOff.
+  void encode_for_store(Image& image);
+  /// The tier fetch behind get(): returns the image as stored (payload
   /// possibly coded), charging the tier's read cost.
   std::optional<Image> fetch_stored(sim::Host& host, const CkptKey& key);
-  /// Resolves `key`'s raw payload from the disk maps alone (follows codec
-  /// chains, no cost) — content_hash uses this so the hash is invariant
-  /// across compression modes.
-  bool raw_payload(const CkptKey& key, util::Bytes& out, int depth) const;
-
-  /// The raw payload of the newest epoch put for one (app, rank) — the
-  /// delta base for that rank's next epoch.
-  struct LastPayload {
-    uint64_t epoch = 0;
-    util::Bytes raw;
-  };
 
   sim::Engine& engine_;
   std::map<CkptKey, Image> images_;
-  std::map<std::pair<std::string, uint32_t>, LastPayload> last_payloads_;
   std::map<CkptKey, util::Bytes> metas_;
   std::map<std::string, uint64_t> committed_;
   std::map<std::pair<std::string, uint64_t>, sim::Time> begin_times_;

@@ -26,9 +26,9 @@ uint32_t replication_from_env(const std::optional<ckpt::CkptBackend>& from_optio
   return n >= 1 ? static_cast<uint32_t>(n) : replication;
 }
 
-/// STARFISH_CKPT_COMPRESS=off|lz|delta|delta+lz codes checkpoint payloads
-/// in the store for every cluster whose options did not pin a mode — same
-/// contract as the backend lever above. The goldens pin kOff explicitly.
+/// STARFISH_CKPT_COMPRESS=off|lz codes checkpoint payloads in the store
+/// for every cluster whose options did not pin a mode — same contract as
+/// the backend lever above. The goldens pin kOff explicitly.
 ckpt::CompressMode compress_from_env(const std::optional<ckpt::CompressMode>& from_options) {
   if (from_options) return *from_options;
   return ckpt::compress_mode_from_env();

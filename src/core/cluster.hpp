@@ -37,9 +37,9 @@ struct ClusterOptions {
   /// STARFISH_CKPT_REPLICAS when ckpt_backend was not set explicitly).
   uint32_t ckpt_replication = 2;
   /// Checkpoint payload compression (DESIGN.md section 17). Unset: off,
-  /// unless STARFISH_CKPT_COMPRESS=lz|delta|delta+lz is exported — the CI
-  /// lever that drives whole suites through the coded epoch pipeline. Set
-  /// explicitly to pin a mode regardless of environment.
+  /// unless STARFISH_CKPT_COMPRESS=lz is exported — the CI lever that
+  /// drives whole suites through lz-coded epochs. Set explicitly to pin a
+  /// mode regardless of environment.
   std::optional<ckpt::CompressMode> ckpt_compress;
 };
 

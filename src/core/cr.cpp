@@ -26,8 +26,7 @@ constexpr sim::Duration kPerMemberSyncCost = sim::milliseconds(15);
 constexpr sim::Duration kForkCost = sim::milliseconds(3);
 
 // The full-epoch grid (every kFullEvery-th epoch is self-contained) lives
-// in ckpt/incremental.hpp since PR 10: the store's payload delta codec
-// anchors on the same grid, so both layers must agree on it.
+// in ckpt/incremental.hpp beside the delta format it anchors.
 using ckpt::is_full_epoch;
 using ckpt::last_full_at_or_before;
 
@@ -240,11 +239,8 @@ void CrModule::handle_ack(uint64_t epoch, uint32_t from) {
   // garbage-collect older epochs. Incremental chains keep everything back
   // to the most recent full image.
   process_.store().commit(process_.job().name, epoch);
-  // Chained encodings (incremental app-state deltas, payload codec deltas)
-  // need their base images back to the last full epoch to stay restorable.
-  const bool chained =
-      process_.job().incremental_ckpt || process_.store().compress_chained();
-  const uint64_t keep = chained ? last_full_at_or_before(epoch) : epoch;
+  const uint64_t keep =
+      process_.job().incremental_ckpt ? last_full_at_or_before(epoch) : epoch;
   process_.store().gc(process_.job().name, keep);
   initiating_ = false;
   send_coord(CoordKind::kCommit, epoch);

@@ -297,6 +297,16 @@ void ApplicationProcess::app_main() {
 
 void ApplicationProcess::run_native_app(const NativeAppFn& fn) {
   AppContext ctx(*this);
+  // The body's hooks capture its locals by reference, so none may outlive
+  // it: a later checkpoint wave or view change would call into a dead
+  // frame. A finished rank captures an empty state.
+  struct DropHooks {
+    ApplicationProcess& process;
+    ~DropHooks() {
+      process.state_capture_ = nullptr;
+      process.view_handler_ = nullptr;
+    }
+  } drop_hooks{*this};
   try {
     fn(ctx);
   } catch (const sim::FiberKilled&) {

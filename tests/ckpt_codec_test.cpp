@@ -1,8 +1,8 @@
-// Compressed delta checkpoint pipeline (PR 10): LZ codec property tests,
-// payload delta framing, corrupt-chain fallback in latest_recoverable, the
-// four-mode store differential (restored bytes and content_hash must be
-// invariant across off/lz/delta/delta+lz), replica warm-ship accounting,
-// and cluster-level crash recovery under every mode.
+// Checkpoint payload compression: LZ codec property tests, payload
+// framing, corrupt-link fallback in latest_recoverable over lz-coded
+// incremental chains, the store differential (restored bytes and
+// content_hash must be invariant across off/lz), replica warm-ship
+// accounting, and cluster-level crash recovery under both modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,140 +148,68 @@ Bytes rand_payload(util::Rng& rng, size_t n) {
 
 // ------------------------------------------------------ payload framing ----
 
-TEST(PayloadCodec, DeltaEncodesOnlyDirtyPagesAsLiterals) {
-  util::Rng rng(1);
-  const Bytes base = rand_payload(rng, 64 * kPageBytes);
-  Bytes raw = base;
-  for (size_t i = 0; i < 64; ++i) {
-    raw[5 * kPageBytes + i] ^= std::byte{0xff};
-    raw[40 * kPageBytes + i] ^= std::byte{0x0f};
-  }
-  obs::Hub hub;
-  const EncodedPayload enc = encode_payload(CompressMode::kDelta, util::as_bytes_view(raw),
-                                            util::as_bytes_view(base), &hub);
-  EXPECT_EQ(enc.codec, PayloadCodec::kDelta);
-  EXPECT_EQ(enc.delta_page_literals, 2u);
-  EXPECT_EQ(enc.delta_page_refs, 62u);
-  EXPECT_LT(enc.bytes.size(), 3 * kPageBytes) << "two dirty pages should cost ~two pages";
-  const auto* refs = hub.metrics.find_counter("ckpt.codec.delta_page_refs");
-  const auto* literals = hub.metrics.find_counter("ckpt.codec.delta_page_literals");
-  ASSERT_NE(refs, nullptr);
-  ASSERT_NE(literals, nullptr);
-  EXPECT_EQ(refs->value(), 62u);
-  EXPECT_EQ(literals->value(), 2u);
-
-  auto back = decode_payload(enc.codec, util::as_bytes_view(enc.bytes), util::as_bytes_view(base),
-                             raw.size(), &hub);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), raw);
-  auto announced = payload_raw_size(enc.codec, util::as_bytes_view(enc.bytes));
-  ASSERT_TRUE(announced.ok());
-  EXPECT_EQ(announced.value(), raw.size());
-}
-
-TEST(PayloadCodec, DeltaLzShrinksCompressibleLiterals) {
-  // Compressible dirty pages: delta+lz must beat plain delta (the lz pass
-  // squeezes the literal pages), and both must reconstruct bit-exactly.
-  const Bytes base = util::codec::structured_bytes(32 * kPageBytes);
-  Bytes raw = base;
-  std::fill(raw.begin() + 3 * kPageBytes, raw.begin() + 5 * kPageBytes, std::byte{0x11});
-  const EncodedPayload delta = encode_payload(CompressMode::kDelta, util::as_bytes_view(raw),
-                                              util::as_bytes_view(base), nullptr);
-  const EncodedPayload both = encode_payload(CompressMode::kDeltaLz, util::as_bytes_view(raw),
-                                             util::as_bytes_view(base), nullptr);
-  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
-  ASSERT_EQ(both.codec, PayloadCodec::kDeltaLz);
-  EXPECT_LT(both.bytes.size(), delta.bytes.size());
-  for (const EncodedPayload* e : {&delta, &both}) {
-    auto back = decode_payload(e->codec, util::as_bytes_view(e->bytes), util::as_bytes_view(base),
-                               raw.size(), nullptr);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), raw);
-  }
-}
-
 TEST(PayloadCodec, FallsBackToRawWhenCodingDoesNotPay) {
   util::Rng rng(2);
   const Bytes raw = rand_payload(rng, 8 * kPageBytes);
   // Incompressible input under lz: stored blocks would inflate, so raw wins.
-  const EncodedPayload lz =
-      encode_payload(CompressMode::kLz, util::as_bytes_view(raw), {}, nullptr);
+  const EncodedPayload lz = encode_payload(CompressMode::kLz, util::as_bytes_view(raw), nullptr);
   EXPECT_EQ(lz.codec, PayloadCodec::kRaw);
   EXPECT_EQ(lz.bytes, raw);
-  // Delta without a base (first epoch) degrades to raw.
-  const EncodedPayload cold =
-      encode_payload(CompressMode::kDelta, util::as_bytes_view(raw), {}, nullptr);
-  EXPECT_EQ(cold.codec, PayloadCodec::kRaw);
-  // Delta against a base every page differs from: all-literal frame > raw.
-  const Bytes unrelated = rand_payload(rng, raw.size());
-  const EncodedPayload futile = encode_payload(CompressMode::kDelta, util::as_bytes_view(raw),
-                                               util::as_bytes_view(unrelated), nullptr);
-  EXPECT_EQ(futile.codec, PayloadCodec::kRaw);
-  EXPECT_EQ(futile.bytes, raw);
+  // off never codes, however compressible the payload.
+  const Bytes zeros(8 * kPageBytes, std::byte{0});
+  const EncodedPayload off =
+      encode_payload(CompressMode::kOff, util::as_bytes_view(zeros), nullptr);
+  EXPECT_EQ(off.codec, PayloadCodec::kRaw);
+  EXPECT_EQ(off.bytes, zeros);
 }
 
-TEST(PayloadCodec, DecodeRejectsBaseMismatchTruncationAndCorruption) {
+TEST(PayloadCodec, DecodeRejectsTruncationAndCorruption) {
   util::Rng rng(3);
-  const Bytes base = rand_payload(rng, 16 * kPageBytes);
-  Bytes raw = base;
-  raw[7 * kPageBytes + 9] ^= std::byte{0x80};
+  const Bytes raw = util::codec::structured_bytes(16 * kPageBytes);
   obs::Hub hub;
-  const EncodedPayload enc = encode_payload(CompressMode::kDelta, util::as_bytes_view(raw),
-                                            util::as_bytes_view(base), nullptr);
-  ASSERT_EQ(enc.codec, PayloadCodec::kDelta);
+  const EncodedPayload enc = encode_payload(CompressMode::kLz, util::as_bytes_view(raw), &hub);
+  ASSERT_EQ(enc.codec, PayloadCodec::kLz);
+  ASSERT_LT(enc.bytes.size(), raw.size());
   ASSERT_TRUE(verify_payload(enc.codec, util::as_bytes_view(enc.bytes)).ok());
+  auto back = decode_payload(enc.codec, util::as_bytes_view(enc.bytes), raw.size(), &hub);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), raw);
 
-  // Wrong base: structural verify still passes (it is base-independent) but
-  // the decode must refuse via the pinned base fingerprint.
-  Bytes wrong_base = base;
-  wrong_base[123] ^= std::byte{1};
-  auto mismatch = decode_payload(enc.codec, util::as_bytes_view(enc.bytes),
-                                 util::as_bytes_view(wrong_base), raw.size(), &hub);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.error().code, "codec");
-  EXPECT_NE(mismatch.error().message.find("base"), std::string::npos);
-
-  // Announced-size bound: a frame may never drive an oversized allocation.
-  EXPECT_FALSE(decode_payload(enc.codec, util::as_bytes_view(enc.bytes),
-                              util::as_bytes_view(base), raw.size() - 1, &hub)
+  // Announced-size bound: a frame may never drive an oversized allocation,
+  // and a raw payload is held to the same bound.
+  EXPECT_FALSE(
+      decode_payload(enc.codec, util::as_bytes_view(enc.bytes), raw.size() - 1, &hub).ok());
+  EXPECT_FALSE(decode_payload(PayloadCodec::kRaw, util::as_bytes_view(raw), raw.size() - 1, &hub)
                    .ok());
 
-  // Truncation and bit flips: the trailing frame fingerprint covers every
-  // body byte, so all damage is caught by verify and decode alike.
+  // Truncation and bit flips: the block fingerprints cover every body byte,
+  // so all damage is caught by verify or decode as a typed codec error.
   for (size_t cut = 0; cut < enc.bytes.size(); cut += 1 + cut / 2) {
     const util::BytesView prefix(enc.bytes.data(), cut);
     EXPECT_FALSE(verify_payload(enc.codec, prefix).ok()) << "cut=" << cut;
-    EXPECT_FALSE(
-        decode_payload(enc.codec, prefix, util::as_bytes_view(base), raw.size(), &hub).ok());
+    auto got = decode_payload(enc.codec, prefix, raw.size(), &hub);
+    ASSERT_FALSE(got.ok()) << "cut=" << cut;
+    EXPECT_EQ(got.error().code, "codec");
   }
   for (size_t i = 0; i < enc.bytes.size(); i += 1 + rng.below(61)) {
     Bytes mangled = enc.bytes;
     mangled[i] ^= std::byte{0x20};
-    EXPECT_FALSE(verify_payload(enc.codec, util::as_bytes_view(mangled)).ok()) << "flip at " << i;
-    EXPECT_FALSE(decode_payload(enc.codec, util::as_bytes_view(mangled),
-                                util::as_bytes_view(base), raw.size(), &hub)
-                     .ok())
-        << "flip at " << i;
+    const bool caught = !verify_payload(enc.codec, util::as_bytes_view(mangled)).ok() ||
+                        !decode_payload(enc.codec, util::as_bytes_view(mangled), raw.size(), &hub)
+                             .ok();
+    EXPECT_TRUE(caught) << "flip at " << i;
   }
   const auto* errors = hub.metrics.find_counter("ckpt.codec.decode_errors");
   ASSERT_NE(errors, nullptr);
   EXPECT_GT(errors->value(), 0u);
-
-  // delta+lz wraps the same frame; a truncated outer stream must fail too.
-  const EncodedPayload wrapped = encode_payload(CompressMode::kDeltaLz, util::as_bytes_view(raw),
-                                                util::as_bytes_view(base), nullptr);
-  ASSERT_EQ(wrapped.codec, PayloadCodec::kDeltaLz);
-  const util::BytesView half(wrapped.bytes.data(), wrapped.bytes.size() / 2);
-  EXPECT_FALSE(verify_payload(wrapped.codec, half).ok());
-  EXPECT_FALSE(
-      decode_payload(wrapped.codec, half, util::as_bytes_view(base), raw.size(), nullptr).ok());
 }
 
 // ------------------------------------------------- store differential ----
 
-// Epoch payloads that are mostly stable across epochs: per-(rank, page)
-// pattern with two stamped pages plus a partial tail page per epoch, so the
-// delta modes see O(dirty pages) while every mode must restore identically.
+// Epoch states that are mostly stable across epochs: per-(rank, page)
+// pattern with two stamped pages plus a partial tail page per epoch, so an
+// incremental image carries O(dirty pages) while every mode must restore
+// identically.
 Bytes epoch_payload(uint32_t rank, uint64_t epoch) {
   constexpr size_t kPages = 48;
   Bytes b(kPages * kPageBytes + 1234);
@@ -307,13 +235,44 @@ Image payload_image(Bytes payload) {
   return img;
 }
 
+/// One link of an incremental chain, the shape CrModule stores: the full
+/// state on the kFullEvery grid, else the page delta against the previous
+/// epoch's state, with base_epoch naming that epoch.
+Image chain_image(uint32_t rank, uint64_t epoch) {
+  if (is_full_epoch(epoch)) return payload_image(epoch_payload(rank, epoch));
+  Image img =
+      payload_image(incremental_encode(epoch_payload(rank, epoch - 1), epoch_payload(rank, epoch)));
+  img.incremental = true;
+  img.base_epoch = epoch - 1;
+  return img;
+}
+
+/// Reads `epoch`'s chain back through the store (full anchor, then each
+/// delta oldest first) and resolves it the way CrModule::restore does.
+std::optional<Bytes> restore_chain(CheckpointStore& store, sim::Host& host, uint32_t rank,
+                                   uint64_t epoch) {
+  std::vector<Image> links;
+  for (uint64_t e = epoch;; e = links.back().base_epoch) {
+    auto got = store.get(host, CkptKey{"app", rank, e});
+    if (!got) return std::nullopt;
+    EXPECT_EQ(got->codec, PayloadCodec::kRaw) << "store leaked coded bytes upward";
+    links.push_back(std::move(*got));
+    if (!links.back().incremental) break;
+  }
+  Bytes state = std::move(links.back().payload);
+  for (auto it = links.rbegin() + 1; it != links.rend(); ++it) {
+    if (!incremental_apply_into(state, util::as_bytes_view(it->payload)).ok()) return std::nullopt;
+  }
+  return state;
+}
+
 struct StoreRun {
-  std::vector<Bytes> restored;  // get() payloads, key order
+  std::vector<Bytes> restored;  // per-epoch states, (epoch, rank) order
   uint64_t content_hash = 0;
   uint64_t bytes_written = 0;
 };
 
-StoreRun disk_run(CompressMode mode) {
+StoreRun disk_run(CompressMode mode, bool incremental) {
   constexpr uint32_t kRanks = 2;
   constexpr uint64_t kEpochs = 7;
   sim::Engine eng;
@@ -325,16 +284,16 @@ StoreRun disk_run(CompressMode mode) {
   net.host(0)->spawn("writer", [&] {
     for (uint64_t e = 1; e <= kEpochs; ++e) {
       for (uint32_t r = 0; r < kRanks; ++r) {
-        store.put(*net.host(0), CkptKey{"app", r, e}, payload_image(epoch_payload(r, e)));
+        store.put(*net.host(0), CkptKey{"app", r, e},
+                  incremental ? chain_image(r, e) : payload_image(epoch_payload(r, e)));
       }
       store.commit("app", e);
     }
     for (uint64_t e = 1; e <= kEpochs; ++e) {
       for (uint32_t r = 0; r < kRanks; ++r) {
-        auto got = store.get(*net.host(1), CkptKey{"app", r, e});
+        auto got = restore_chain(store, *net.host(1), r, e);
         ASSERT_TRUE(got.has_value()) << compress_mode_name(mode) << " r" << r << " e" << e;
-        EXPECT_EQ(got->codec, PayloadCodec::kRaw) << "store leaked coded bytes upward";
-        out.restored.push_back(std::move(got->payload));
+        out.restored.push_back(std::move(*got));
       }
     }
   });
@@ -344,34 +303,46 @@ StoreRun disk_run(CompressMode mode) {
   return out;
 }
 
-// The acceptance differential: every mode restores bit-identical payloads
-// and hashes to the same store content; the chained modes write less disk.
+// The acceptance differential: off and lz restore bit-identical states and
+// hash to the same store content, for full images and incremental chains
+// alike; lz writes less disk, and lz-coded incremental chains least.
 TEST(StoreCompressDifferential, AllModesRestoreIdenticalBytesAndHash) {
-  const StoreRun off = disk_run(CompressMode::kOff);
+  const StoreRun off = disk_run(CompressMode::kOff, false);
   ASSERT_EQ(off.restored.size(), 14u);
   for (size_t i = 0; i < off.restored.size(); ++i) {
     EXPECT_EQ(off.restored[i], epoch_payload(static_cast<uint32_t>(i % 2), 1 + i / 2));
   }
-  for (CompressMode mode :
-       {CompressMode::kLz, CompressMode::kDelta, CompressMode::kDeltaLz}) {
-    const StoreRun run = disk_run(mode);
-    EXPECT_EQ(run.restored, off.restored) << compress_mode_name(mode);
-    EXPECT_EQ(run.content_hash, off.content_hash) << compress_mode_name(mode);
-    EXPECT_LT(run.bytes_written, off.bytes_written) << compress_mode_name(mode);
-  }
-  // Warm delta epochs are O(dirty pages): across 7 epochs x 2 ranks the
-  // chained modes must write far less than half of what off writes beyond
-  // the per-image base cost.
-  const StoreRun delta = disk_run(CompressMode::kDeltaLz);
+  const StoreRun lz = disk_run(CompressMode::kLz, false);
+  EXPECT_EQ(lz.restored, off.restored);
+  EXPECT_EQ(lz.content_hash, off.content_hash);
+  EXPECT_LT(lz.bytes_written, off.bytes_written);
+
+  const StoreRun chain_off = disk_run(CompressMode::kOff, true);
+  const StoreRun chain_lz = disk_run(CompressMode::kLz, true);
+  EXPECT_EQ(chain_off.restored, off.restored);
+  EXPECT_EQ(chain_lz.restored, off.restored);
+  EXPECT_EQ(chain_lz.content_hash, chain_off.content_hash);
+  // Incremental images are O(dirty pages): beyond the per-image base cost
+  // the chain writes less than half of what full images write, and lz
+  // shrinks it further.
   const uint64_t base_cost = 14 * kPortableBaseBytes;
-  EXPECT_LT(delta.bytes_written - base_cost, (off.bytes_written - base_cost) / 2);
+  EXPECT_LT(chain_off.bytes_written - base_cost, (off.bytes_written - base_cost) / 2);
+  EXPECT_LT(chain_lz.bytes_written, chain_off.bytes_written);
+  EXPECT_LT(chain_lz.bytes_written, lz.bytes_written);
 }
 
 // ------------------------------------------------ fault-injection tests ----
 
-// Satellite (b): a corrupted or truncated coded chunk must surface as a
-// typed decode failure and move latest_recoverable to the next epoch whose
-// chain still verifies — never an abort, never a poisoned restore.
+/// Bytes the store saved on `key` against the raw image: positive when the
+/// payload went to the store lz-coded.
+int64_t coding_saving(const CheckpointStore& store, const CkptKey& key, const Image& raw) {
+  return static_cast<int64_t>(raw.file_bytes) - static_cast<int64_t>(*store.file_bytes(key));
+}
+
+// A corrupted or truncated lz frame anywhere in an incremental chain must
+// surface as a typed decode failure and move latest_recoverable to the next
+// epoch whose chain still verifies — never an abort, never a poisoned
+// restore.
 TEST(StoreFaultInjection, CorruptedChunksFallBackToOlderEpochs) {
   sim::Engine eng;
   obs::Hub hub;
@@ -379,14 +350,18 @@ TEST(StoreFaultInjection, CorruptedChunksFallBackToOlderEpochs) {
   net::Network net{eng};
   net.add_host("node0");
   CheckpointStore store{eng};
-  store.set_compress_mode(CompressMode::kDeltaLz);
+  store.set_compress_mode(CompressMode::kLz);
   net.host(0)->spawn("writer", [&] {
     for (uint64_t e = 1; e <= 7; ++e) {
-      store.put(*net.host(0), CkptKey{"app", 0, e}, payload_image(epoch_payload(0, e)));
+      store.put(*net.host(0), CkptKey{"app", 0, e}, chain_image(0, e));
       store.commit("app", e);
     }
   });
   eng.run();
+  for (uint64_t e = 1; e <= 7; ++e) {
+    ASSERT_GT(coding_saving(store, CkptKey{"app", 0, e}, chain_image(0, e)), 0)
+        << "epoch " << e << " was not stored lz-coded";
+  }
   ASSERT_EQ(store.latest_recoverable("app", 1), 7u);
 
   // Flip a byte mid-frame in the newest epoch: its chain alone breaks.
@@ -408,10 +383,11 @@ TEST(StoreFaultInjection, CorruptedChunksFallBackToOlderEpochs) {
     // Reads of the damaged epochs fail soft (nullopt, counted) ...
     EXPECT_FALSE(store.get(*net.host(0), CkptKey{"app", 0, 7}).has_value());
     EXPECT_FALSE(store.get(*net.host(0), CkptKey{"app", 0, 5}).has_value());
+    EXPECT_FALSE(restore_chain(store, *net.host(0), 0, 6).has_value());
     // ... and the fallback epoch restores bit-exactly through its chain.
-    auto got = store.get(*net.host(0), CkptKey{"app", 0, 4});
+    auto got = restore_chain(store, *net.host(0), 0, 4);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->payload, epoch_payload(0, 4));
+    EXPECT_EQ(*got, epoch_payload(0, 4));
     checked = true;
   });
   eng.run();
@@ -428,10 +404,10 @@ TEST(ReplicaFaultInjection, CorruptedReplicaChunkMovesTheRecoveryLine) {
   CheckpointStore store{eng};
   store.enable_replica_backend(net);
   store.set_backend(CkptBackend::kReplica);
-  store.set_compress_mode(CompressMode::kDelta);
+  store.set_compress_mode(CompressMode::kLz);
   net.host(0)->spawn("writer", [&] {
     for (uint64_t e = 1; e <= 3; ++e) {
-      store.put(*net.host(0), CkptKey{"app", 0, e}, payload_image(epoch_payload(0, e)), {1, 2});
+      store.put(*net.host(0), CkptKey{"app", 0, e}, chain_image(0, e), {1, 2});
       store.commit("app", e);
     }
   });
@@ -443,9 +419,9 @@ TEST(ReplicaFaultInjection, CorruptedReplicaChunkMovesTheRecoveryLine) {
   bool checked = false;
   net.host(3)->spawn("reader", [&] {
     EXPECT_FALSE(store.get(*net.host(3), CkptKey{"app", 0, 3}).has_value());
-    auto got = store.get(*net.host(3), CkptKey{"app", 0, 2});
+    auto got = restore_chain(store, *net.host(3), 0, 2);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->payload, epoch_payload(0, 2));
+    EXPECT_EQ(*got, epoch_payload(0, 2));
     checked = true;
   });
   eng.run();
@@ -454,9 +430,9 @@ TEST(ReplicaFaultInjection, CorruptedReplicaChunkMovesTheRecoveryLine) {
 
 // --------------------------------------------------- replica warm ship ----
 
-// Satellite (c): with the delta codec on, a warm epoch ships O(dirty pages)
-// bytes to each holder, visible both in bytes_shipped and in the
-// ckpt.codec.* counters.
+// With compression off, a warm epoch ships O(dirty pages) bytes to each
+// holder: the replica tier's own page diff against what the holder already
+// has skips every clean page.
 TEST(ReplicaWarmShip, DeltaEpochsShipOnlyDirtyPages) {
   sim::Engine eng;
   obs::Hub hub;
@@ -466,7 +442,7 @@ TEST(ReplicaWarmShip, DeltaEpochsShipOnlyDirtyPages) {
   CheckpointStore store{eng};
   store.enable_replica_backend(net);
   store.set_backend(CkptBackend::kReplica);
-  store.set_compress_mode(CompressMode::kDelta);
+  store.set_compress_mode(CompressMode::kOff);
   util::Rng rng(9);
   const Bytes cold_payload = rand_payload(rng, 64 * kPageBytes);  // incompressible
   Bytes warm_payload = cold_payload;
@@ -481,20 +457,13 @@ TEST(ReplicaWarmShip, DeltaEpochsShipOnlyDirtyPages) {
     warm = store.replicas()->bytes_shipped() - cold;
   });
   eng.run();
-  // Epoch 1 is the full anchor (no base): raw, 64 pages per holder.
+  // Epoch 1 finds the holders cold: 64 pages per holder.
   EXPECT_EQ(cold, 2 * (kReplicaHeaderBytes + 64 * kPageBytes));
-  // Epoch 2 is a delta with exactly one literal page: the transfer is the
-  // dirty page plus framing, per holder — two orders below the cold ship.
-  EXPECT_LE(warm, 2 * (kReplicaHeaderBytes + 2 * kPageBytes));
-  EXPECT_LT(warm * 20, cold);
-  const auto* refs = hub.metrics.find_counter("ckpt.codec.delta_page_refs");
-  const auto* literals = hub.metrics.find_counter("ckpt.codec.delta_page_literals");
-  ASSERT_NE(refs, nullptr);
-  ASSERT_NE(literals, nullptr);
-  EXPECT_EQ(refs->value(), 63u);
-  EXPECT_EQ(literals->value(), 1u);
+  // Epoch 2 differs in one page: the header and that page, per holder.
+  EXPECT_EQ(warm, 2 * (kReplicaHeaderBytes + kPageBytes));
+  EXPECT_EQ(hub.metrics.find_counter("ckpt.codec.raw_bytes"), nullptr) << "codec ran at off";
 
-  // And the warm epoch restores bit-exactly through its delta chain.
+  // And the warm epoch restores bit-exactly.
   bool checked = false;
   net.host(3)->spawn("reader", [&] {
     auto got = store.get(*net.host(3), CkptKey{"app", 0, 2});
@@ -621,30 +590,30 @@ std::vector<std::string> crash_recovery_run(ckpt::CompressMode mode) {
   return cluster.output("codec");
 }
 
-// Crash mid-chain under every mode: recovery restores from a committed
-// epoch whose payload travelled through the mode's codec, and the
-// application result is identical across all four pipelines.
+// Crash mid-run under both modes: recovery restores from a committed epoch
+// whose payload travelled through the mode's codec, and the application
+// result is identical.
 TEST(ClusterCompressDifferential, CrashRecoveryIsModeInvariant) {
   const std::vector<std::string> off = crash_recovery_run(ckpt::CompressMode::kOff);
   EXPECT_TRUE(output_contains(off, std::to_string(expected_token(4, 30))));
-  for (ckpt::CompressMode mode : {ckpt::CompressMode::kLz, ckpt::CompressMode::kDelta,
-                                  ckpt::CompressMode::kDeltaLz}) {
-    EXPECT_EQ(crash_recovery_run(mode), off) << ckpt::compress_mode_name(mode);
-  }
+  EXPECT_EQ(crash_recovery_run(ckpt::CompressMode::kLz), off);
 }
 
-// Mixed-endianness SFV2 payloads through the coded pipeline: the crash
-// moves rank placement across representations, so restore decompresses a
-// delta+lz frame and then converts endianness/word size.
+// Mixed-endianness SFV2 payloads through the coded incremental pipeline:
+// the crash moves rank placement across representations, so restore
+// decompresses lz frames, resolves the incremental chain and then converts
+// endianness/word size.
 TEST(ClusterCompressHeterogeneous, DeltaLzRestoresAcrossRepresentations) {
   ClusterOptions opts;
   auto machines = sim::table2_machines();
   opts.machines = {machines[0], machines[1], machines[5], machines[2]};  // LE32, BE32, LE64, BE32
   opts.nodes = 4;
-  opts.ckpt_compress = ckpt::CompressMode::kDeltaLz;
+  opts.ckpt_compress = ckpt::CompressMode::kLz;
   Cluster cluster(std::move(opts));
   cluster.registry().register_vm("ring", ring_program(40, 100000));
-  cluster.submit(ring_job("hetero", 4));
+  daemon::JobSpec job = ring_job("hetero", 4);
+  job.incremental_ckpt = true;
+  cluster.submit(job);
   cluster.run_for(milliseconds(130));
   cluster.crash_node(0);  // the little-endian 32-bit node dies
   ASSERT_TRUE(cluster.run_until_done("hetero", seconds(240.0)));

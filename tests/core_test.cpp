@@ -937,6 +937,43 @@ TEST(IncrementalCheckpoint, PayloadBytesAreWrittenOnceIntoExactBuffers) {
   EXPECT_GE(deltas, 4);
 }
 
+TEST(NativeHooks, CaptureHookIsDroppedWhenTheBodyReturns) {
+  // The usual idiom: the capture hook captures a stack local by reference.
+  // This 1-rank body ends within 3 epochs, so the checkpoint wave under way
+  // when it returns reaches a rank whose frame is gone. The runtime must
+  // drop the hook with the body instead of calling into the dead frame.
+  obs::Hub hub;
+  Fixture f(1);
+  f.cluster.engine().set_obs(&hub);
+  bool returned = false;
+  int calls_after_return = 0;
+  uint64_t stored_at_return = 0;
+  uint64_t written_at_return = 0;
+  f.cluster.registry().register_native("brief", [&](AppContext& ctx) {
+    util::Bytes state(kStripeStateBytes, std::byte{0});
+    ctx.set_state_capture([&] {
+      if (returned) ++calls_after_return;
+      return state;
+    });
+    ctx.set_state_restore([&](const util::Bytes& b) { state = b; });
+    for (size_t step = 0; step < 40; ++step) {
+      ctx.compute(milliseconds(10));
+      state[step * ckpt::kPageBytes % kStripeStateBytes] = std::byte{1};
+    }
+    stored_at_return = f.cluster.store().latest_stored("solo", 0).value_or(0);
+    written_at_return = hub.metrics.counter("ckpt.bytes_copied").value();
+    returned = true;
+  });
+  JobSpec job = stripe_job("solo", 1);
+  job.binary = "brief";
+  f.cluster.submit(job);
+  ASSERT_TRUE(f.cluster.run_until_done("solo", seconds(60.0)));
+  EXPECT_LE(stored_at_return, 3u) << "the body should end within 3 epochs";
+  EXPECT_GT(hub.metrics.counter("ckpt.bytes_copied").value(), written_at_return)
+      << "no checkpoint wave reached the rank after its body returned";
+  EXPECT_EQ(calls_after_return, 0);
+}
+
 // ---------------------------------------------------- MPI-2 dynamic spawn ----
 
 TEST(DynamicSpawn, WorldGrowsAndNewRanksParticipate) {
