@@ -14,6 +14,8 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/buffer.hpp"
+#include "util/codec/lz.hpp"
+#include "util/rng.hpp"
 #include "util/simd/simd.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
@@ -544,10 +546,10 @@ BENCHMARK(BM_ImageConvertDecodeScalar);
 
 // Large-message pack + unpack of a strided vector layout (a 256 KB matrix
 // band: 256-byte blocks every 512 bytes), and the contiguous fast path.
-// Cache-resident on purpose: at multi-MB sizes every implementation is
-// DRAM-bound and the bench would measure the memory bus, not the kernels.
-void datatype_pack_bench(benchmark::State& state, simd::Isa isa, bool contiguous) {
-  ScopedIsa forced(isa);
+// Both run one memcpy per plan run, so they do not depend on the SIMD
+// level. Cache-resident on purpose: at multi-MB sizes every layout is
+// DRAM-bound and the bench would measure the memory bus, not the plan.
+void datatype_pack_bench(benchmark::State& state, bool contiguous) {
   const size_t total = 256 * 1024;
   const auto dt = contiguous ? mpi::Datatype::contiguous(total, 1)
                              : mpi::Datatype::vector(total / 512, 256, 512, 1);
@@ -562,17 +564,58 @@ void datatype_pack_bench(benchmark::State& state, simd::Isa isa, bool contiguous
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 * dt.packed_bytes());
 }
 void BM_DatatypePackStridedDispatch(benchmark::State& state) {
-  datatype_pack_bench(state, simd::level(), false);
-}
-void BM_DatatypePackStridedScalar(benchmark::State& state) {
-  datatype_pack_bench(state, simd::Isa::kScalar, false);
+  datatype_pack_bench(state, false);
 }
 void BM_DatatypePackContiguous(benchmark::State& state) {
-  datatype_pack_bench(state, simd::level(), true);
+  datatype_pack_bench(state, true);
 }
 BENCHMARK(BM_DatatypePackStridedDispatch);
-BENCHMARK(BM_DatatypePackStridedScalar);
 BENCHMARK(BM_DatatypePackContiguous);
+
+// --- checkpoint LZ codec (STARFISH_CKPT_COMPRESS=lz) ---------------------
+//
+// Host cost per byte of the lz mode on a checkpoint-shaped state: 1 MB of
+// 4 KB pages, mostly zero, each page carrying four 64-byte stripes drawn
+// from a small seeded pool. Zero runs become overlapping (offset-1)
+// matches, repeated stripes become far matches copied with memcpy, and the
+// first sight of each stripe is a literal run.
+constexpr size_t kLzStateBytes = 1024 * 1024;
+
+util::Bytes lz_state() {
+  util::Rng rng(0x1c0dec);
+  util::Bytes pool(16 * 64);
+  for (auto& b : pool) b = static_cast<std::byte>(rng.next() & 0xff);
+  util::Bytes s(kLzStateBytes, std::byte{0});
+  for (size_t page = 0; page < kLzStateBytes / ckpt::kPageBytes; ++page) {
+    for (int k = 0; k < 4; ++k) {
+      const size_t at = page * ckpt::kPageBytes + (rng.next() % (ckpt::kPageBytes / 64)) * 64;
+      std::memcpy(s.data() + at, pool.data() + (rng.next() % 16) * 64, 64);
+    }
+  }
+  return s;
+}
+
+void BM_LzEncode(benchmark::State& state) {
+  const util::Bytes raw = lz_state();
+  for (auto _ : state) {
+    auto frame = util::codec::lz_compress(util::as_bytes_view(raw));
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kLzStateBytes);
+}
+BENCHMARK(BM_LzEncode);
+
+void BM_LzDecode(benchmark::State& state) {
+  const util::Bytes raw = lz_state();
+  const util::Bytes frame = util::codec::lz_compress(util::as_bytes_view(raw));
+  for (auto _ : state) {
+    auto back = util::codec::lz_decompress(util::as_bytes_view(frame), kLzStateBytes);
+    benchmark::DoNotOptimize(back.value().data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kLzStateBytes);
+  state.counters["frame_bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_LzDecode);
 
 }  // namespace
 

@@ -10,11 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The ASan tree forces the VM's portable switch dispatch loop
-# (-DSTARFISH_VM_SWITCH_DISPATCH=ON): together with the default
-# computed-goto tree in build/, both dispatchers run the full suite —
-# including the VM differential tests — under at least one configuration.
-cmake -B build-asan -S . -DSTARFISH_SANITIZE=address -DSTARFISH_VM_SWITCH_DISPATCH=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake -B build-asan -S . -DSTARFISH_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j
 # Leak checking is on: a destroyed Cluster kills and unwinds every fiber
 # (Engine::shutdown), so nothing a fiber frame owns outlives the run.
@@ -41,10 +37,15 @@ cd build-asan
 # ucontext fallback (STARFISH_FAST_CONTEXT is off under ASan), so a passing
 # run here proves both context-switch implementations replay one history.
 [ "$(ctest -N | grep -c "EngineGolden")" -gt 0 ] || { echo "engine golden tests missing from ctest registration" >&2; exit 1; }
-# The VM differential suite must run under the sanitizer with the switch
-# dispatcher forced: it pins fast-vs-checked and fused-vs-unfused
-# equivalence, which is exactly what this tree's configuration exercises.
+# The VM differential suite must run under the sanitizer: it pins
+# fast-vs-checked and fused-vs-unfused equivalence of the computed-goto
+# loop, the interpreter's only dispatch loop.
 [ "$(ctest -N | grep -c "VmDifferential")" -gt 0 ] || { echo "vm differential tests missing from ctest registration" >&2; exit 1; }
+# The SIMD differential suite must be registered: inside the full run below
+# it drives every compiled level, scalar included, through simd::table()
+# and simd::force(), so the sanitizer sweeps the scalar reference loops and
+# each vector kernel with no environment override.
+[ "$(ctest -N | grep -c "SimdDifferential")" -gt 0 ] || { echo "simd differential tests missing from ctest registration" >&2; exit 1; }
 # (-R before -j: ctest's -j greedily consumes the following argument.)
 STARFISH_OBS_FORCE=1 ctest --output-on-failure -R '^Obs' -j "$@"
 ctest --output-on-failure -j "$@"
@@ -69,17 +70,3 @@ STARFISH_GCS_TOPOLOGY=tree ctest --output-on-failure -R 'Chaos|Group|GcsDifferen
 [ "$(ctest -N | grep -c "Codec")" -gt 0 ] || { echo "ckpt codec tests missing from ctest registration" >&2; exit 1; }
 STARFISH_CKPT_COMPRESS=off ctest --output-on-failure -R 'Chaos|Replica|Codec|Compress|StoreFault' -j "$@"
 STARFISH_CKPT_COMPRESS=lz ctest --output-on-failure -R 'Chaos|Replica|Codec|Compress|StoreFault' -j "$@"
-# Data-plane tiers again with SIMD dispatch forced to the scalar reference:
-# the env repoints the kernel table, so the sanitizer sweeps the exact
-# loops the vector kernels are differenced against (the differential suite
-# itself still exercises every compiled level via simd::table()).
-[ "$(ctest -N | grep -c "SimdDifferential")" -gt 0 ] || { echo "simd differential tests missing from ctest registration" >&2; exit 1; }
-STARFISH_SIMD=scalar ctest --output-on-failure -R 'Simd|PortableImage|Datatype|Incremental' -j "$@"
-
-# Perf smoke rides along on the non-sanitized Release tree: warn-only
-# comparison of the engine hot-path benches vs scripts/perf_baseline.json.
-# Disable with STARFISH_PERF_SMOKE=0 when only sanitizer coverage is wanted.
-if [[ "${STARFISH_PERF_SMOKE:-1}" != "0" ]]; then
-  cd ..
-  scripts/perf_smoke.sh
-fi

@@ -23,7 +23,7 @@ using vm::Value;
 // endianness and word-size conversion of heterogeneous checkpointing runs
 // through the util/simd bulk kernels (byteswap, widen/narrow) instead of a
 // per-value switch. The bytes are ISA-invariant: every kernel is
-// bit-identical across scalar/AVX2/AVX-512/NEON (DESIGN.md §16).
+// bit-identical across scalar/AVX2/AVX-512 (DESIGN.md §16).
 constexpr uint32_t kPortableMagic = 0x53465632;
 
 /// Gathered columns of one value sequence (encode side).

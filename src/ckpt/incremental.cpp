@@ -162,7 +162,7 @@ util::Status incremental_apply_into(util::Bytes& state, util::BytesView delta,
   for (uint32_t i = 0; i < n.value(); ++i) {
     const size_t off = static_cast<size_t>(pages.u32().value()) * kPageBytes;
     const util::BytesView data = pages.view().value();
-    util::simd::copy(state.data() + off, data.data(), data.size());
+    std::memcpy(state.data() + off, data.data(), data.size());
   }
   return util::Status::ok_status();
 }

@@ -48,7 +48,7 @@ constexpr uint64_t kIncrementalBaseBytes = 64ull * 1024;
 constexpr uint64_t kMaxIncrementalStateBytes = 8ull * 1024 * 1024 * 1024;
 
 /// 64-bit per-page fingerprint (the util/simd wide hash: eight XXH3-style
-/// lanes, runtime-dispatched over scalar/AVX2/AVX-512/NEON with bit-identical
+/// lanes, runtime-dispatched over scalar/AVX2/AVX-512 with bit-identical
 /// outputs, so the cache is ISA-independent). Collisions
 /// would silently drop a changed page, so the mixing must be strong; at
 /// 64 bits the chance over any realistic checkpoint stream is negligible —

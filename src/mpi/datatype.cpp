@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/simd/simd.hpp"
-
 namespace starfish::mpi {
 
 Datatype Datatype::contiguous(size_t count, size_t elem_bytes) {
@@ -59,9 +57,9 @@ util::Result<util::Bytes> Datatype::pack(std::span<const std::byte> buffer) cons
   util::Bytes out(packed_bytes_);
   // Contiguous types (and vectors whose stride equals the block) compiled to
   // a single run, so this loop *is* the one-bulk-copy fast path for them;
-  // strided layouts execute the merged gather plan with the SIMD copy.
+  // strided layouts execute the merged gather plan, one memcpy per run.
   for (const Run& r : plan_) {
-    util::simd::copy(out.data() + r.dst, buffer.data() + r.src, r.len);
+    std::memcpy(out.data() + r.dst, buffer.data() + r.src, r.len);
   }
   return out;
 }
@@ -75,14 +73,14 @@ util::Status Datatype::unpack(std::span<const std::byte> message,
     return util::Error::make("unpack", "buffer smaller than the datatype extent");
   }
   for (const Run& r : plan_) {
-    util::simd::copy(buffer.data() + r.src, message.data() + r.dst, r.len);
+    std::memcpy(buffer.data() + r.src, message.data() + r.dst, r.len);
   }
   return util::Status::ok_status();
 }
 
 // The typed codecs write the same little-endian wire bytes as the old
 // per-element loops; the bulk Writer/Reader paths just retire whole arrays
-// through one SIMD copy/byteswap pass. Decoders keep the legacy tolerant
+// through one memcpy or SIMD byteswap pass. Decoders keep the legacy tolerant
 // behavior on truncated input (missing elements read as zero).
 
 util::Bytes encode_i64s(std::span<const int64_t> values) {

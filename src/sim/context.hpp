@@ -7,15 +7,15 @@
 // SysV callee-saved registers plus mxcsr/x87 control word on the old stack,
 // swap stack pointers, restore. ~10ns per switch, no kernel entry.
 //
-// The ucontext path is kept (STARFISH_FAST_CONTEXT == 0) for non-x86-64
-// builds, for ASan builds (the sanitizer intercepts swapcontext to track
-// stack switches but cannot see a custom switch), and on demand via
-// -DSTARFISH_FORCE_UCONTEXT for debugging. Both paths run the same engine
-// code and must replay the same goldens (engine_golden_test runs under both
-// via scripts/asan_ctest.sh).
+// The platform alone picks the path. The ucontext path
+// (STARFISH_FAST_CONTEXT == 0) serves non-x86-64 builds and ASan builds (the
+// sanitizer intercepts swapcontext to track stack switches but cannot see a
+// custom switch). Both paths run the same engine code and must replay the
+// same goldens (engine_golden_test runs in the default tree and in the ASan
+// tree of scripts/asan_ctest.sh).
 #pragma once
 
-#if defined(__x86_64__) && !defined(STARFISH_FORCE_UCONTEXT)
+#if defined(__x86_64__)
 #if defined(__SANITIZE_ADDRESS__)
 #define STARFISH_FAST_CONTEXT 0
 #elif defined(__has_feature)

@@ -160,8 +160,8 @@ Engine::~Engine() {
 void Engine::set_obs(obs::Hub* hub) {
   obs_ = hub;
   if (hub != nullptr) {
-    // Which kernel table the data plane dispatched to (0=scalar, 1=neon,
-    // 2=avx2, 3=avx512), so bench JSON and metric snapshots are
+    // Which kernel table the data plane dispatched to (0=scalar, 2=avx2,
+    // 3=avx512), so bench JSON and metric snapshots are
     // self-describing about the ISA they were measured under.
     hub->metrics.gauge("sim.simd.dispatch")
         .set(static_cast<int64_t>(util::simd::level()));

@@ -187,7 +187,7 @@ class Writer {
     std::byte* dst = out_.data() + at;
     const std::byte* s = reinterpret_cast<const std::byte*>(src);
     if (endian_ == native_endian()) {
-      simd::copy(dst, s, n * kElem);
+      std::memcpy(dst, s, n * kElem);
     } else if constexpr (kElem == 4) {
       simd::bswap32(dst, s, n);
     } else {
@@ -349,7 +349,7 @@ class Reader {
       const std::byte* src = data_.data() + pos_;
       std::byte* dst = reinterpret_cast<std::byte*>(out.data());
       if (endian_ == native_endian()) {
-        simd::copy(dst, src, n * kElem);
+        std::memcpy(dst, src, n * kElem);
       } else if constexpr (kElem == 4) {
         simd::bswap32(dst, src, n);
       } else {

@@ -66,7 +66,7 @@ bool compress_block(const std::byte* p, size_t n, Bytes& out, size_t out_start,
     if (lit_len != 0) {
       const size_t at = out.size();
       out.resize(at + lit_len);
-      simd.copy(out.data() + at, p + lit_start, lit_len);
+      std::memcpy(out.data() + at, p + lit_start, lit_len);
     }
     if (match_len != 0) {
       out.push_back(static_cast<std::byte>(offset & 0xff));
@@ -167,7 +167,6 @@ Result<uint64_t> parse_frame(BytesView frame, std::vector<BlockRef>& blocks) {
 }
 
 Status decode_block(const BlockRef& blk, std::byte* dst) {
-  const simd::Ops& simd = simd::ops();
   const std::byte* in = blk.enc.data();
   const size_t in_len = blk.enc.size();
   const size_t out_len = blk.raw_len;
@@ -189,7 +188,7 @@ Status decode_block(const BlockRef& blk, std::byte* dst) {
     if (lit_len > in_len - ip || lit_len > out_len - op) {
       return codec_error("literal run out of bounds");
     }
-    simd.copy(dst + op, in + ip, lit_len);
+    std::memcpy(dst + op, in + ip, lit_len);
     ip += lit_len;
     op += lit_len;
     const size_t match_code = token & 0x0f;
@@ -205,7 +204,7 @@ Status decode_block(const BlockRef& blk, std::byte* dst) {
     if (match_len > out_len - op) return codec_error("match run out of bounds");
     const std::byte* src = dst + op - off;
     if (off >= match_len) {
-      simd.copy(dst + op, src, match_len);
+      std::memcpy(dst + op, src, match_len);
     } else {
       for (size_t i = 0; i < match_len; ++i) dst[op + i] = src[i];  // overlapping replicate
     }
@@ -275,7 +274,7 @@ Result<Bytes> lz_decompress(BytesView frame, uint64_t max_bytes) {
   size_t off = 0;
   for (const BlockRef& blk : blocks) {
     if (blk.kind == 0) {
-      simd::copy(out.data() + off, blk.enc.data(), blk.enc.size());
+      std::memcpy(out.data() + off, blk.enc.data(), blk.enc.size());
     } else {
       auto st = decode_block(blk, out.data() + off);
       if (!st.ok()) return st.error();

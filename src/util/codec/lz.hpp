@@ -7,9 +7,10 @@
 // input must produce the same compressed bytes on every host and ISA level
 // (checkpoint content hashes and replica transfers are compared across
 // machines). The matcher is a fixed-parameter greedy hash-chain search with
-// no heuristics keyed on timing, addresses or ISA; the hot copy/compare
-// loops route through the util/simd dispatch table, whose kernels are
-// bit-identical across levels by contract.
+// no heuristics keyed on timing, addresses or ISA; the match-extension
+// compare and the block checksums route through the util/simd dispatch
+// table, whose kernels are bit-identical across levels by contract, and
+// literal and match copies are plain memcpy.
 //
 // Frame layout (all little-endian, independent blocks of 64 KB raw):
 //   u32 magic "SLZ1"   u8 version   u64 raw_len   u32 n_blocks

@@ -1,6 +1,6 @@
 // AVX2 backend: 4 x 64-bit lanes per register. Compiled with -mavx2 (this
-// file only); the self-gate below turns the TU into a nullptr stub when the
-// build does not carry AVX2 (non-x86 target or -DSTARFISH_SIMD=scalar).
+// file only, on x86-64 targets); the self-gate below turns the TU into a
+// nullptr stub on any other target.
 #include "util/simd/backends.hpp"
 
 #if defined(__AVX2__)
@@ -39,11 +39,7 @@ struct Avx2 {
   static vec bswap(vec v) {
     // Per-128-bit-lane byte shuffle; the reversal pattern repeats every
     // element, so one control vector handles both halves.
-    if constexpr (kElem == 2) {
-      const __m256i ctl = _mm256_setr_epi8(1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14,
-                                           1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
-      return _mm256_shuffle_epi8(v, ctl);
-    } else if constexpr (kElem == 4) {
+    if constexpr (kElem == 4) {
       const __m256i ctl = _mm256_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,
                                            3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
       return _mm256_shuffle_epi8(v, ctl);
@@ -57,10 +53,6 @@ struct Avx2 {
 
 uint64_t fingerprint_avx2(const std::byte* p, size_t n) {
   return detail::fingerprint_shell(p, n, detail::fp_accumulate_vec<Avx2>);
-}
-
-void copy_avx2(std::byte* dst, const std::byte* src, size_t n) {
-  detail::copy_vec<Avx2>(dst, src, n);
 }
 
 template <unsigned kElem>
@@ -113,9 +105,8 @@ void gather64_avx2(std::byte* dst, const std::byte* src, size_t stride, size_t n
 }
 
 constexpr Ops kAvx2Table = {
-    Isa::kAvx2,    fingerprint_avx2, copy_avx2,   bswap_avx2<2>,
-    bswap_avx2<4>, bswap_avx2<8>,    widen_avx2,  narrow_avx2,
-    mismatch_avx2, gather64_avx2,
+    Isa::kAvx2,  fingerprint_avx2, bswap_avx2<4>, bswap_avx2<8>, widen_avx2,
+    narrow_avx2, mismatch_avx2,    gather64_avx2,
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 // AVX-512 backend: 8 x 64-bit lanes per register (F for the integer ALU and
 // the 64<->32 converts, BW for the byte shuffle). Compiled with
-// -mavx512f -mavx512bw (this file only); nullptr stub otherwise.
+// -mavx512f -mavx512bw (this file only, on x86-64 targets); nullptr stub
+// on any other target.
 #include "util/simd/backends.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
@@ -28,11 +29,7 @@ struct Avx512 {
 
   template <unsigned kElem>
   static vec bswap(vec v) {
-    if constexpr (kElem == 2) {
-      const __m512i ctl = _mm512_broadcast_i32x4(
-          _mm_setr_epi8(1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14));
-      return _mm512_shuffle_epi8(v, ctl);
-    } else if constexpr (kElem == 4) {
+    if constexpr (kElem == 4) {
       const __m512i ctl = _mm512_broadcast_i32x4(
           _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12));
       return _mm512_shuffle_epi8(v, ctl);
@@ -46,10 +43,6 @@ struct Avx512 {
 
 uint64_t fingerprint_avx512(const std::byte* p, size_t n) {
   return detail::fingerprint_shell(p, n, detail::fp_accumulate_vec<Avx512>);
-}
-
-void copy_avx512(std::byte* dst, const std::byte* src, size_t n) {
-  detail::copy_vec<Avx512>(dst, src, n);
 }
 
 template <unsigned kElem>
@@ -99,9 +92,8 @@ void gather64_avx512(std::byte* dst, const std::byte* src, size_t stride, size_t
 }
 
 constexpr Ops kAvx512Table = {
-    Isa::kAvx512,    fingerprint_avx512, copy_avx512,   bswap_avx512<2>,
-    bswap_avx512<4>, bswap_avx512<8>,    widen_avx512,  narrow_avx512,
-    mismatch_avx512, gather64_avx512,
+    Isa::kAvx512,  fingerprint_avx512, bswap_avx512<4>, bswap_avx512<8>, widen_avx512,
+    narrow_avx512, mismatch_avx512,    gather64_avx512,
 };
 
 }  // namespace

@@ -1,8 +1,5 @@
-// Runtime table selection: CPU probe + STARFISH_SIMD override.
+// Runtime table selection: the CPU probe alone picks the level.
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/simd/backends.hpp"
 #include "util/simd/simd.hpp"
@@ -11,32 +8,6 @@ namespace starfish::util::simd {
 
 namespace {
 
-/// Highest-preference usable level (table() already folds the CPU probe in).
-const Ops* best_table() {
-  for (Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kNeon}) {
-    if (const Ops* t = table(isa)) return t;
-  }
-  return table(Isa::kScalar);
-}
-
-const Ops* select_from_env() {
-  const char* env = std::getenv("STARFISH_SIMD");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "native") == 0) return best_table();
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
-    if (std::strcmp(env, isa_name(isa)) != 0) continue;
-    if (const Ops* t = table(isa)) return t;
-    // Never run an unsupported level: an explicit-but-unavailable request
-    // degrades to the reference table (the conservative choice for the
-    // scalar-forced test tiers this override exists for).
-    std::fprintf(stderr, "starfish: STARFISH_SIMD=%s not available on this host/build, using scalar\n",
-                 env);
-    return table(Isa::kScalar);
-  }
-  std::fprintf(stderr, "starfish: unknown STARFISH_SIMD=%s (want scalar|avx2|avx512|neon|native), using native\n",
-               env);
-  return best_table();
-}
-
 std::atomic<const Ops*> g_ops{nullptr};
 
 }  // namespace
@@ -44,7 +15,6 @@ std::atomic<const Ops*> g_ops{nullptr};
 const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kNeon: return "neon";
     case Isa::kAvx2: return "avx2";
     case Isa::kAvx512: return "avx512";
   }
@@ -54,11 +24,9 @@ const char* isa_name(Isa isa) {
 const CpuFeatures& cpu_features() {
   static const CpuFeatures features = [] {
     CpuFeatures f;
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(__x86_64__)
     f.avx2 = __builtin_cpu_supports("avx2");
     f.avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
-#elif defined(__aarch64__)
-    f.neon = true;
 #endif
     return f;
   }();
@@ -68,7 +36,6 @@ const CpuFeatures& cpu_features() {
 const Ops* table(Isa isa) {
   switch (isa) {
     case Isa::kScalar: return scalar_ops();
-    case Isa::kNeon: return cpu_features().neon ? neon_ops() : nullptr;
     case Isa::kAvx2: return cpu_features().avx2 ? avx2_ops() : nullptr;
     case Isa::kAvx512: return cpu_features().avx512 ? avx512_ops() : nullptr;
   }
@@ -77,7 +44,7 @@ const Ops* table(Isa isa) {
 
 std::vector<Isa> available() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (table(isa) != nullptr) out.push_back(isa);
   }
   return out;
@@ -87,7 +54,7 @@ const Ops& ops() {
   const Ops* t = g_ops.load(std::memory_order_acquire);
   if (t == nullptr) {
     // Benign race: concurrent first calls select the same table.
-    t = select_from_env();
+    t = table(available().back());
     g_ops.store(t, std::memory_order_release);
   }
   return *t;

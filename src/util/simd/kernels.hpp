@@ -1,11 +1,11 @@
 // Generic kernel bodies shared by the per-ISA translation units.
 //
-// Each backend TU (scalar.cpp, avx2.cpp, avx512.cpp, neon.cpp) defines a
-// small fixed-width vector type — N 64-bit lanes with load/store, xor, add,
-// 32x32->64 multiply, pair-swap shuffle and byteswap — and instantiates the
-// templates below with it. The kernels are written lane-by-lane so every
-// instantiation computes the same function; only the number of lanes
-// retired per step differs.
+// scalar.cpp calls the scalar bodies below directly. Each vector backend TU
+// (avx2.cpp, avx512.cpp) defines a small fixed-width vector type — N 64-bit
+// lanes with load/store, xor, add, 32x32->64 multiply, pair-swap shuffle and
+// byteswap — and instantiates the templates below with it. The kernels are
+// written lane-by-lane so every instantiation computes the same function;
+// only the number of lanes retired per step differs.
 //
 // Everything here is `static` (internal linkage) on purpose: these bodies
 // are compiled once per backend TU under that TU's -m flags. A vague
@@ -85,7 +85,7 @@ static inline void fp_accumulate_scalar(uint64_t acc[8], const std::byte* p, siz
 }
 
 /// Vector stripe loop: B supplies `vec` (B::kLanes u64 lanes, kLanes in
-/// {2,4,8}), loadu/load64/storeu64, xor_/add64, mul_lo32_hi32 and
+/// {4,8}), loadu/load64/storeu64, xor_/add64, mul_lo32_hi32 and
 /// swap_pairs (lane i -> lane i^1, pairs never straddle a register because
 /// kLanes is even).
 template <class B>
@@ -180,12 +180,7 @@ static inline void gather64_tail(std::byte* dst, const std::byte* src, size_t st
 
 template <unsigned kElem>
 static inline void bswap_one(std::byte* dst, const std::byte* src) {
-  if constexpr (kElem == 2) {
-    uint16_t v;
-    std::memcpy(&v, src, 2);
-    v = __builtin_bswap16(v);
-    std::memcpy(dst, &v, 2);
-  } else if constexpr (kElem == 4) {
+  if constexpr (kElem == 4) {
     uint32_t v;
     std::memcpy(&v, src, 4);
     v = __builtin_bswap32(v);
@@ -223,22 +218,6 @@ static inline void bswap_vec(std::byte* dst, const std::byte* src, size_t n) {
     B::storeu(dst + i, B::template bswap<kElem>(B::loadu(src + i)));
   }
   for (; i < total; i += kElem) bswap_one<kElem>(dst + i, src + i);
-}
-
-/// Vector copy: two registers per iteration, memcpy for the sub-register
-/// tail (exact, and still branch-cheap for the small-run case).
-template <class B>
-static inline void copy_vec(std::byte* dst, const std::byte* src, size_t n) {
-  constexpr size_t kVecBytes = B::kLanes * 8;
-  size_t i = 0;
-  for (; i + 2 * kVecBytes <= n; i += 2 * kVecBytes) {
-    const typename B::vec a = B::loadu(src + i);
-    const typename B::vec b = B::loadu(src + i + kVecBytes);
-    B::storeu(dst + i, a);
-    B::storeu(dst + i + kVecBytes, b);
-  }
-  for (; i + kVecBytes <= n; i += kVecBytes) B::storeu(dst + i, B::loadu(src + i));
-  if (i < n) std::memcpy(dst + i, src + i, n - i);
 }
 
 }  // namespace starfish::util::simd::detail

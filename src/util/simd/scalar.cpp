@@ -1,7 +1,7 @@
 // Scalar reference kernels: the semantics every vector backend must match.
 // Plain element loops, no intrinsics, no memcpy bulk tricks on the main
-// loops — this table is what the differential suite and the scalar-forced
-// sanitizer tiers compare against, so clarity beats throughput here.
+// loops — this table is what the differential suite compares every vector
+// level against, so clarity beats throughput here.
 #include "util/simd/backends.hpp"
 #include "util/simd/kernels.hpp"
 
@@ -10,10 +10,6 @@ namespace {
 
 uint64_t fingerprint_scalar(const std::byte* p, size_t n) {
   return detail::fingerprint_shell(p, n, detail::fp_accumulate_scalar);
-}
-
-void copy_scalar(std::byte* dst, const std::byte* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] = src[i];  // byte-loop reference
 }
 
 template <unsigned kElem>
@@ -38,9 +34,8 @@ void gather64_scalar(std::byte* dst, const std::byte* src, size_t stride, size_t
 }
 
 constexpr Ops kScalarTable = {
-    Isa::kScalar,    fingerprint_scalar, copy_scalar,   bswap_scalar<2>,
-    bswap_scalar<4>, bswap_scalar<8>,    widen_scalar,  narrow_scalar,
-    mismatch_scalar, gather64_scalar,
+    Isa::kScalar,  fingerprint_scalar, bswap_scalar<4>, bswap_scalar<8>, widen_scalar,
+    narrow_scalar, mismatch_scalar,    gather64_scalar,
 };
 
 }  // namespace

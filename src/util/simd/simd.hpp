@@ -3,22 +3,25 @@
 // The per-byte work left on Starfish's hot paths — page fingerprints for
 // incremental checkpoints, portable-image endianness/word conversion, MPI
 // datatype pack/unpack — runs through this one small kernel table. Each
-// kernel exists in up to four implementations (scalar reference, AVX2,
-// AVX-512, NEON) compiled into separate translation units; a CPU-feature
-// probe selects one table at startup, overridable with
-// STARFISH_SIMD=scalar|avx2|avx512|neon|native for tests and A/B benches.
+// kernel exists in up to three implementations (scalar reference, AVX2,
+// AVX-512) compiled into separate translation units; a CPU-feature probe
+// selects the highest level the host supports on first use, with no
+// environment or build-time override. Non-x86-64 targets run the scalar
+// table. Tests and A/B benches switch levels in-process with force().
 //
 // The contract that makes dispatch safe for a deterministic simulator: every
 // kernel is *bit-identical* across implementations. The wide fingerprint is
 // defined lane-by-lane so the scalar reference and the vector bodies compute
-// the same function; byteswap/widen/narrow/copy are pure data movement. A
+// the same function; byteswap/widen/narrow/gather are pure data movement. A
 // seeded differential suite (tests/simd_differential_test.cpp) pins this for
 // every level the build carries, so checkpoint bytes, image payloads and
 // packed messages do not depend on the host's ISA (DESIGN.md section 16).
 //
 // The scalar table is the *reference semantics* implementation — simple,
 // obviously correct loops, not tuned — which is what the differential tests
-// and the scalar-forced sanitizer tiers run against.
+// run against. Plain byte copies are std::memcpy, not a table kernel: it
+// matched or beat every vector copy measured (EXPERIMENTS.md, "SIMD levels
+// and memcpy").
 #pragma once
 
 #include <cstddef>
@@ -28,8 +31,9 @@
 namespace starfish::util::simd {
 
 /// Instruction-set levels a kernel table can be built for, in preference
-/// order (dispatch picks the highest supported one).
-enum class Isa : uint8_t { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+/// order (dispatch picks the highest supported one). The values are the
+/// sim.simd.dispatch gauge and stay fixed; 1 is unused.
+enum class Isa : uint8_t { kScalar = 0, kAvx2 = 2, kAvx512 = 3 };
 
 const char* isa_name(Isa isa);
 
@@ -38,7 +42,6 @@ const char* isa_name(Isa isa);
 struct CpuFeatures {
   bool avx2 = false;    ///< x86-64 AVX2
   bool avx512 = false;  ///< x86-64 AVX-512 F+BW (all the kernels need)
-  bool neon = false;    ///< aarch64 Advanced SIMD (baseline there)
 };
 const CpuFeatures& cpu_features();
 
@@ -52,12 +55,8 @@ struct Ops {
   /// re-replication). Bit-identical across ISA levels; seed folded length.
   uint64_t (*fingerprint)(const std::byte* p, size_t n);
 
-  /// Bulk copy of n bytes. dst and src must not overlap (memcpy rules).
-  void (*copy)(std::byte* dst, const std::byte* src, size_t n);
-
-  /// Byte-reverse n elements of 2/4/8 bytes each. In-place (dst == src) or
+  /// Byte-reverse n elements of 4/8 bytes each. In-place (dst == src) or
   /// fully disjoint; partial overlap is not allowed.
-  void (*bswap16)(std::byte* dst, const std::byte* src, size_t n);
   void (*bswap32)(std::byte* dst, const std::byte* src, size_t n);
   void (*bswap64)(std::byte* dst, const std::byte* src, size_t n);
 
@@ -85,8 +84,8 @@ const Ops* table(Isa isa);
 /// Levels usable in this process (always contains kScalar).
 std::vector<Isa> available();
 
-/// The dispatched table: selected once on first use from cpu_features(),
-/// honoring STARFISH_SIMD. Subsequent calls are one relaxed atomic load.
+/// The dispatched table: the highest available() level, selected once on
+/// first use. Subsequent calls are one acquire load.
 const Ops& ops();
 
 /// The level ops() dispatched to (feeds the sim.simd.dispatch gauge).
@@ -100,8 +99,6 @@ const Ops& force(Isa isa);
 // --- convenience wrappers over the dispatched table ---
 
 inline uint64_t fingerprint(const std::byte* p, size_t n) { return ops().fingerprint(p, n); }
-inline void copy(std::byte* dst, const std::byte* src, size_t n) { ops().copy(dst, src, n); }
-inline void bswap16(std::byte* dst, const std::byte* src, size_t n) { ops().bswap16(dst, src, n); }
 inline void bswap32(std::byte* dst, const std::byte* src, size_t n) { ops().bswap32(dst, src, n); }
 inline void bswap64(std::byte* dst, const std::byte* src, size_t n) { ops().bswap64(dst, src, n); }
 inline void widen_i32_i64(std::byte* dst, const std::byte* src, size_t n) {

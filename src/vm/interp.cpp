@@ -4,14 +4,9 @@
 
 namespace starfish::vm {
 
-// Computed-goto (direct-threaded) dispatch where the compiler supports the
-// GNU label-address extension; -DSTARFISH_VM_SWITCH_DISPATCH (CMake option)
-// pins the portable switch loop instead, e.g. for sanitized builds or
-// foreign compilers. Both loops execute the same op bodies via the VM_OP /
-// VM_NEXT macros below.
-#if defined(__GNUC__) && !defined(STARFISH_VM_SWITCH_DISPATCH)
-#define STARFISH_VM_CGOTO 1
-#endif
+// The fast loop is direct-threaded: each op body ends by fetching the next
+// instruction and jumping through a label table (the GNU label-address
+// extension, which GCC and Clang, the only supported compilers, provide).
 
 namespace {
 
@@ -632,7 +627,6 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
   size_t pc = 0;
   const DecodedInstr* d = nullptr;
 
-#ifdef STARFISH_VM_CGOTO
   // Indexed by XOp; order must match vm/exec.hpp exactly.
   static const void* kLabels[] = {
       &&op_Nop, &&op_PushInt, &&op_PushFloat, &&op_PushBool, &&op_PushUnit,
@@ -656,10 +650,9 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kXOpCount,
                 "dispatch table out of sync with XOp");
-#endif
 
-// Fetch/decode shared by both dispatch flavors: budget first (the checked
-// loop's for-condition), then the pc bounds check the fast loop keeps.
+// Fetch/decode: budget first (the checked loop's for-condition), then the
+// pc bounds check the fast loop keeps.
 #define VM_FETCH()                                      \
   do {                                                  \
     if (left == 0) goto budget_out;                     \
@@ -689,17 +682,12 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
     return out;                           \
   } while (0)
 
-#ifdef STARFISH_VM_CGOTO
 #define VM_OP(name) op_##name:
 #define VM_NEXT()                                        \
   do {                                                   \
     VM_FETCH();                                          \
     goto* kLabels[static_cast<size_t>(d->op)];           \
   } while (0)
-#else
-#define VM_OP(name) case XOp::k##name:
-#define VM_NEXT() continue
-#endif
 
 load_frame:
   if (frames.empty()) {
@@ -726,13 +714,7 @@ load_frame:
   locals = fr->locals.data();
   pc = fr->pc;
 
-#ifdef STARFISH_VM_CGOTO
   VM_NEXT();
-#else
-  for (;;) {
-    VM_FETCH();
-    switch (d->op) {
-#endif
 
   VM_OP(Nop)
     VM_NEXT();
@@ -862,9 +844,7 @@ load_frame:
   }
 
 // Compares convert int/bool operands through double like the checked loop
-// (d->aux is the verifier-proven shared operand tag). Plain block, not
-// do/while: VM_NEXT() is `continue` in switch mode and must reach the
-// dispatch loop, not a wrapper loop.
+// (d->aux is the verifier-proven shared operand tag).
 #define VM_COMPARE(rel)                                         \
   {                                                             \
     const Value vb = stack.back();                              \
@@ -975,13 +955,6 @@ load_frame:
     return out;
   }
 
-#ifndef STARFISH_VM_CGOTO
-  VM_OP(NewArray)
-  VM_OP(ALoad)
-  VM_OP(AStore)
-  VM_OP(ALen)
-  VM_OP(NewBytes)
-#endif
   VM_OP(Checked) {
     // Escape hatch: heap ops and anything the verifier could not prove run
     // through the original fully-checked single-step. Undo the speculative
@@ -1049,13 +1022,6 @@ load_frame:
     ++fused_done;
     VM_NEXT();
   }
-
-#ifndef STARFISH_VM_CGOTO
-      case XOp::kCount:  // never emitted by prepare_program
-        break;
-    }
-  }
-#endif
 
 budget_out:
   fr->pc = static_cast<uint32_t>(pc);

@@ -8,9 +8,8 @@
 // different machine.
 //
 // Execution engine (DESIGN.md section 12): programs the verifier can
-// analyze run on a direct-threaded fast loop (computed goto where the
-// compiler supports it, a portable switch otherwise) over prepared code
-// with proven underflow/type checks elided and hot idioms fused into
+// analyze run on a direct-threaded (computed-goto) fast loop over prepared
+// code with proven underflow/type checks elided and hot idioms fused into
 // superinstructions. Anything unproven — and any program that fails
 // analysis outright — executes through the original fully-checked
 // single-step, so observable behavior (state, traps, step counts,

@@ -6,11 +6,7 @@
 // These tests pin that by running every kernel at every level the binary
 // carries against the scalar reference, over randomized sizes, contents
 // and (mis)alignments, and by re-encoding the same VM state and datatype
-// layouts under each forced level.
-//
-// The whole binary is registered twice with ctest: once normally and once
-// with STARFISH_SIMD=scalar (SimdDifferentialScalarForced), so the image
-// and datatype goldens are also re-checked under a scalar-forced dispatch.
+// layouts under each level, scalar included, forced in-process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,7 +137,6 @@ TEST(SimdDifferential, ByteswapMatchesScalar) {
   util::Rng rng(0x51f15a03);
   for (Isa isa : vector_levels()) {
     const simd::Ops* t = simd::table(isa);
-    check_bswap<2>(t->bswap16, scalar->bswap16, simd::isa_name(isa), rng);
     check_bswap<4>(t->bswap32, scalar->bswap32, simd::isa_name(isa), rng);
     check_bswap<8>(t->bswap64, scalar->bswap64, simd::isa_name(isa), rng);
   }
@@ -194,22 +189,6 @@ TEST(SimdDifferential, WidenSignExtendsAndNarrowTruncates) {
   simd::narrow_i64_i32(reinterpret_cast<std::byte*>(back),
                        reinterpret_cast<const std::byte*>(wide), 6);
   for (size_t i = 0; i < 6; ++i) EXPECT_EQ(back[i], in[i]) << i;
-}
-
-TEST(SimdDifferential, CopyMatchesSourceAtEveryLevel) {
-  util::Rng rng(0x51f15a06);
-  for (Isa isa : simd::available()) {
-    const simd::Ops* t = simd::table(isa);
-    for (int iter = 0; iter < 200; ++iter) {
-      const size_t n = rng.next() % 3000;
-      const size_t mis_s = rng.next() % 16, mis_d = rng.next() % 16;
-      util::Bytes src = random_bytes(rng, n + mis_s);
-      util::Bytes dst(n + mis_d, std::byte{0xcd});
-      t->copy(dst.data() + mis_d, src.data() + mis_s, n);
-      EXPECT_EQ(std::memcmp(dst.data() + mis_d, src.data() + mis_s, n), 0)
-          << simd::isa_name(isa) << " n=" << n;
-    }
-  }
 }
 
 TEST(SimdDifferential, MismatchMatchesScalarAtPlantedPositions) {
@@ -289,6 +268,12 @@ TEST(SimdDifferential, DispatchInvariants) {
   }
 }
 
+TEST(SimdDifferential, DispatchPicksHighestAvailableLevel) {
+  // The CPU probe alone picks the level: no environment or build setting
+  // can narrow it, so the dispatched table is always the widest one.
+  EXPECT_EQ(simd::level(), simd::available().back());
+}
+
 TEST(SimdDifferential, ForceOverridesAndRestores) {
   const Isa before = simd::level();
   {
@@ -345,7 +330,7 @@ TEST(SimdDifferential, ImagePayloadBytesInvariantAcrossLevels) {
   for (const sim::Machine& saver : sim::table2_machines()) {
     simd::force(Isa::kScalar);
     const ckpt::Image want = ckpt::portable_encode(saver, state);
-    for (Isa isa : vector_levels()) {
+    for (Isa isa : simd::available()) {
       simd::force(isa);
       const ckpt::Image got = ckpt::portable_encode(saver, state);
       EXPECT_EQ(got.payload, want.payload)
@@ -360,8 +345,7 @@ TEST(SimdDifferential, ImagePayloadBytesInvariantAcrossLevels) {
 
 TEST(SimdDifferential, MixedEndianRoundTripGolden) {
   // Encode on a big-endian 32-bit machine, decode on a little-endian 64-bit
-  // one — the full byteswap + widen path. Registered a second time with
-  // STARFISH_SIMD=scalar so the golden also runs under forced-scalar dispatch.
+  // one — the full byteswap + widen path — at every level, scalar included.
   sim::Machine big32{"sparc", "sunos", util::Endian::kBig, 4};
   sim::Machine little64{"alpha", "osf1", util::Endian::kLittle, 8};
 
@@ -370,23 +354,28 @@ TEST(SimdDifferential, MixedEndianRoundTripGolden) {
                Value::boolean(true), Value::reference(3), Value::unit()};
   s.steps_executed = 0x1122334455667788ull;
 
-  const ckpt::Image img = ckpt::portable_encode(big32, s);
-  EXPECT_EQ(img.repr_code, big32.repr_code());
-  auto back = ckpt::portable_decode(img, little64);
-  ASSERT_TRUE(back.ok()) << back.error().to_string();
-  EXPECT_EQ(back.value().globals[0], Value::integer(0x01020304));
-  EXPECT_EQ(back.value().globals[1], Value::integer(-2));
-  EXPECT_EQ(back.value().globals[2], Value::real(6.5));
-  EXPECT_EQ(back.value().globals[3], Value::boolean(true));
-  EXPECT_EQ(back.value().globals[4], Value::reference(3));
-  EXPECT_EQ(back.value().globals[5], Value::unit());
-  EXPECT_EQ(back.value().steps_executed, 0x1122334455667788ull);
+  ForceGuard guard;
+  for (Isa isa : simd::available()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    simd::force(isa);
+    const ckpt::Image img = ckpt::portable_encode(big32, s);
+    EXPECT_EQ(img.repr_code, big32.repr_code());
+    auto back = ckpt::portable_decode(img, little64);
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
+    EXPECT_EQ(back.value().globals[0], Value::integer(0x01020304));
+    EXPECT_EQ(back.value().globals[1], Value::integer(-2));
+    EXPECT_EQ(back.value().globals[2], Value::real(6.5));
+    EXPECT_EQ(back.value().globals[3], Value::boolean(true));
+    EXPECT_EQ(back.value().globals[4], Value::reference(3));
+    EXPECT_EQ(back.value().globals[5], Value::unit());
+    EXPECT_EQ(back.value().steps_executed, 0x1122334455667788ull);
 
-  // And the reverse direction narrows: 64-bit saver, 32-bit target.
-  const ckpt::Image img64 = ckpt::portable_encode(little64, back.value());
-  auto back32 = ckpt::portable_decode(img64, big32);
-  ASSERT_TRUE(back32.ok()) << back32.error().to_string();
-  EXPECT_EQ(back32.value(), back.value());
+    // And the reverse direction narrows: 64-bit saver, 32-bit target.
+    const ckpt::Image img64 = ckpt::portable_encode(little64, back.value());
+    auto back32 = ckpt::portable_decode(img64, big32);
+    ASSERT_TRUE(back32.ok()) << back32.error().to_string();
+    EXPECT_EQ(back32.value(), back.value());
+  }
 }
 
 // ------------------------------------------------------- datatype ----
@@ -410,7 +399,7 @@ TEST(SimdDifferential, DatatypePackBytesInvariantAcrossLevels) {
     simd::force(Isa::kScalar);
     auto want = dt.pack(buffer);
     ASSERT_TRUE(want.ok());
-    for (Isa isa : vector_levels()) {
+    for (Isa isa : simd::available()) {
       simd::force(isa);
       auto got = dt.pack(buffer);
       ASSERT_TRUE(got.ok());
