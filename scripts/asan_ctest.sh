@@ -11,14 +11,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build-asan -S . -DSTARFISH_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j
+# One compile per CPU: a bare -j lets make start every compile at once.
+cmake --build build-asan -j "$(nproc)"
 # Leak checking is on: a destroyed Cluster kills and unwinds every fiber
 # (Engine::shutdown), so nothing a fiber frame owns outlives the run.
 export ASAN_OPTIONS="detect_leaks=1:${ASAN_OPTIONS:-}"
 
 if [[ "${STARFISH_UBSAN:-0}" != "0" ]]; then
   cmake -B build-ubsan -S . -DSTARFISH_UBSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build build-ubsan -j
+  cmake --build build-ubsan -j "$(nproc)"
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:${UBSAN_OPTIONS:-}"
   (cd build-ubsan && ctest --output-on-failure -j "$@")
 fi

@@ -90,7 +90,7 @@ class ApplicationProcess : public daemon::ProcessHandle {
   /// module fiber can outlive (and dangle into) a dead process.
   sim::FiberPtr spawn_owned(std::string name, std::function<void()> body) {
     auto f = host_.spawn(std::move(name), std::move(body));
-    owned_fibers_.push_back(f);
+    sim::track_unfinished(owned_fibers_, f);
     return f;
   }
 
@@ -118,7 +118,7 @@ class ApplicationProcess : public daemon::ProcessHandle {
   std::unique_ptr<vm::Interpreter> interp_;  ///< VM apps only
 
   sim::Channel<daemon::LinkMsg> inbox_;
-  std::vector<sim::FiberPtr> owned_fibers_;
+  std::vector<sim::FiberPtr> owned_fibers_;  ///< unfinished module fibers
   sim::CondVar state_cv_;
 
   bool configured_ = false;

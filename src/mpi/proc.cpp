@@ -11,7 +11,6 @@ struct Request::State {
   bool is_recv = false;
   bool send_done = false;
   PostedRecv posted;  ///< is_recv: lives here while linked into posted_
-  sim::FiberPtr sender_fiber;
 
   /// Dropping a request without wait() must unlink the posted entry, or the
   /// matcher would write through a dangling pointer.
@@ -327,15 +326,16 @@ Request Proc::isend(uint32_t comm, uint32_t dst, int tag, util::Bytes data) {
     return req;
   }
   // Large (or currently frozen) sends progress on a helper fiber so isend
-  // returns immediately; wait() joins it.
+  // returns immediately; wait() joins it through send_done. The state holds
+  // no reference back to the fiber, so the finished helper is freed.
   auto state = req.state_;
-  state->sender_fiber =
+  sim::track_unfinished(
+      helper_fibers_,
       host_.spawn("mpi-isend", [this, state, comm, dst, tag, data = std::move(data)]() mutable {
         do_send(comm, dst, tag, std::move(data));
         state->send_done = true;
         completion_cv_.notify_all();
-      });
-  helper_fibers_.push_back(state->sender_fiber);
+      }));
   return req;
 }
 

@@ -179,7 +179,7 @@ class Proc {
   ProcConfig config_;
   net::Vni vni_;
   sim::FiberPtr dispatch_fiber_;
-  std::vector<sim::FiberPtr> helper_fibers_;  ///< isend progress fibers
+  std::vector<sim::FiberPtr> helper_fibers_;  ///< unfinished isend progress fibers
   bool shut_down_ = false;
 
   uint32_t rank_ = 0;

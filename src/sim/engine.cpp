@@ -94,6 +94,7 @@ void Fiber::run_body() {
   } catch (const std::exception& e) {
     STARFISH_LOG(kError, "sim") << "fiber '" << name_ << "' died with exception: " << e.what();
   }
+  body_ = nullptr;
   state_ = FiberState::kFinished;
 }
 
@@ -150,8 +151,8 @@ Engine::Engine(uint64_t seed) : seed_(seed), rng_(seed) {
 }
 
 Engine::~Engine() {
-  // Unblockable cleanup: any still-suspended fiber stacks are released
-  // without unwinding (back into the stack pool, which the last owner
+  // Unblockable cleanup: dropping live_ releases any still-suspended fiber
+  // stack without unwinding (back into the stack pool, which the last owner
   // unmaps). Long-lived simulations should call shutdown() (or kill fibers
   // and drain the queue) before destroying the engine; tests that end
   // mid-simulation rely on this path.
@@ -190,10 +191,16 @@ FiberPtr Engine::spawn_on(NodeId node, std::string name, std::function<void()> b
                           Duration delay) {
   assert(node < nodes_.size());
   auto fiber = std::make_shared<Fiber>(*this, node, std::move(name), std::move(body));
-  fibers_.push_back(fiber);
+  fiber->live_pos_ = live_.insert(live_.end(), fiber);
   fiber->state_ = FiberState::kRunnable;
   schedule_on(node, delay, [this, fiber] {
-    if (fiber->state_ == FiberState::kRunnable && !fiber->killed_) resume(fiber.get());
+    if (fiber->state_ != FiberState::kRunnable) return;
+    // Killed before it started: it never runs, so it finishes here.
+    if (fiber->killed_) {
+      retire(fiber.get());
+    } else {
+      resume(fiber.get());
+    }
   });
   return fiber;
 }
@@ -203,8 +210,16 @@ void Engine::kill(const FiberPtr& fiber) {
   if (f == nullptr || f->finished() || f->killed_) return;
   f->killed_ = true;
   if (f->state_ == FiberState::kBlocked) wake(f, WakeReason::kKilled);
-  // Runnable-but-not-yet-started fibers simply never start (spawn's start
-  // event checks killed_); running fibers throw at their next block.
+  // Runnable-but-not-yet-started fibers never start (spawn's start event
+  // retires them); running fibers throw at their next block.
+}
+
+void Engine::kill_node(NodeId node) {
+  // kill() only flags and queues wakes, so live_ cannot change under the
+  // loop.
+  for (const FiberPtr& f : live_) {
+    if (f->node_ == node) kill(f);
+  }
 }
 
 void Engine::shutdown() {
@@ -213,23 +228,22 @@ void Engine::shutdown() {
   // reaches the hub.
   set_obs(nullptr);
   // Unwinding runs arbitrary destructors, which may wake or spawn fibers, so
-  // repeat until a pass finds nothing new to kill. Indexing, not iterators:
-  // a spawn during unwinding appends to fibers_.
+  // repeat until a pass finds nothing new to kill. The kill pass leaves
+  // live_ unchanged; the drain erases finished fibers and appends spawns.
   for (bool killed_any = true; killed_any;) {
     killed_any = false;
-    for (size_t i = 0; i < fibers_.size(); ++i) {
-      const FiberPtr f = fibers_[i];
-      if (f->finished() || f->killed_) continue;
+    for (const FiberPtr& f : live_) {
+      if (f->killed_) continue;
       kill(f);
       killed_any = true;
     }
     while (!ready_.empty()) dispatch_ready(ready_.pop());
   }
-  // What is left never started: no frame to unwind, only a stack to return.
-  for (const FiberPtr& f : fibers_) {
-    if (f->finished()) continue;
-    f->state_ = FiberState::kFinished;
-    f->release_stack();
+  // What is left never started: no frame to unwind, only a body and a
+  // stack to release.
+  while (!live_.empty()) {
+    const FiberPtr f = live_.front();
+    retire(f.get());
   }
 }
 
@@ -291,12 +305,6 @@ bool Engine::dispatch_one(Time deadline) {
     exec_node_ = kControlNode;
     pool_.release(t.event);
   }
-
-  // Periodically drop finished fibers so long simulations don't grow. Both
-  // run() and run_for() dispatch through here.
-  if ((events_ & 0x3ff) == 0) {
-    std::erase_if(fibers_, [](const FiberPtr& f) { return f->finished() && f.use_count() == 1; });
-  }
   return true;
 }
 
@@ -333,8 +341,16 @@ void Engine::resume(Fiber* fiber) {
   current_ = nullptr;
   // A finished fiber's context never runs again: recycle the stack now,
   // not when the last FiberPtr dies, so spawn churn reuses stacks
-  // immediately.
-  if (fiber->finished()) fiber->release_stack();
+  // immediately. The caller still holds a FiberPtr, so retiring cannot
+  // destroy the fiber under it.
+  if (fiber->finished()) retire(fiber);
+}
+
+void Engine::retire(Fiber* fiber) {
+  fiber->state_ = FiberState::kFinished;
+  fiber->body_ = nullptr;  // already empty if the body ran
+  fiber->release_stack();
+  live_.erase(fiber->live_pos_);
 }
 
 WakeReason Engine::block() {
@@ -358,12 +374,15 @@ WakeReason Engine::block_until(Time deadline) {
   assert(f != nullptr && "block_until() outside a fiber");
   if (f->killed_) throw FiberKilled{};
   const uint64_t epoch = f->wait_epoch_ + 1;  // epoch this block will have
-  // Capture a shared_ptr: the timer may outlive the fiber if it is woken
-  // early by a signal and then finishes. The capture set (this + keep +
-  // epoch) fits SmallFn's inline buffer, so no allocation.
+  // Capture a weak_ptr: the timer may outlive the fiber if it is woken
+  // early by a signal and then finishes, and must not keep it alive. A
+  // still-blocked fiber is live, so the engine holds it. The capture set
+  // (this + weak + epoch) fits SmallFn's inline buffer, so no allocation.
   schedule(deadline - now_ < 0 ? 0 : deadline - now_,
-           [this, keep = f->shared_from_this(), epoch] {
-             if (keep->state_ == FiberState::kBlocked && keep->wait_epoch_ == epoch) {
+           [this, weak = f->weak_from_this(), epoch] {
+             const FiberPtr keep = weak.lock();
+             if (keep != nullptr && keep->state_ == FiberState::kBlocked &&
+                 keep->wait_epoch_ == epoch) {
                wake(keep.get(), WakeReason::kTimer);
              }
            });

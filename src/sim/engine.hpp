@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -216,12 +217,16 @@ class Engine {
   /// blocking primitive throws FiberKilled); a runnable/running fiber throws
   /// at its next blocking point. Idempotent.
   void kill(const FiberPtr& fiber);
+  /// Kills every live fiber homed on `node`, in spawn (= fiber-id) order —
+  /// a host crash.
+  void kill_node(NodeId node);
 
   /// Kills every unfinished fiber and unwinds each one that has a stack
-  /// frame, so RAII frees what those frames hold. Fibers killed before they
-  /// started just give back their stacks. Timer events are not dispatched;
-  /// call this only when the simulation is over (Cluster's destructor does,
-  /// while the objects the fibers reference are still alive).
+  /// frame, so RAII frees what those frames hold. Fibers that never started
+  /// just give back their bodies and stacks. Afterwards no fiber is live.
+  /// Timer events are not dispatched; call this only when the simulation is
+  /// over (Cluster's destructor does, while the objects the fibers reference
+  /// are still alive).
   void shutdown();
 
   /// Runs events until the queue is empty.
@@ -231,6 +236,8 @@ class Engine {
   /// True if no events remain.
   bool idle() const { return timers_.empty() && ready_.empty(); }
   uint64_t events_executed() const { return events_; }
+  /// Fibers spawned and not yet finished.
+  size_t live_fibers() const { return live_.size(); }
 
   /// The fiber stack pool (stats for tests and reporting).
   const StackPool& stack_pool() const { return *stack_pool_; }
@@ -282,6 +289,9 @@ class Engine {
 
   void run_until(Time deadline, bool bounded);
   void resume(Fiber* fiber);
+  /// Marks `fiber` finished, releases its body and stack and drops the
+  /// engine's reference, in O(1).
+  void retire(Fiber* fiber);
 
   Time now_ = 0;
   uint64_t seed_ = 0;
@@ -310,8 +320,8 @@ class Engine {
   ucontext_t main_context_{};
 #endif
   uint64_t events_ = 0;
-  /// Keeps fibers alive; swept opportunistically when finished.
-  std::vector<FiberPtr> fibers_;
+  /// Owns every live fiber, in spawn order; each leaves at its finish.
+  std::list<FiberPtr> live_;
 };
 
 }  // namespace starfish::sim

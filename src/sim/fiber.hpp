@@ -9,14 +9,22 @@
 // Every fiber has a home *node* fixed at creation (its host's, or node 0,
 // the control plane); the node's counters stamp the events the fiber
 // schedules.
+//
+// Ownership: the engine owns a fiber while it is live (spawned, not yet
+// finished). When the body returns, or a fiber killed before it started
+// reaches its start time, the body's captures and the stack are released
+// and the engine drops its reference; a FiberPtr held elsewhere then keeps
+// only the inert Fiber object.
 #pragma once
 
 #include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/context.hpp"
 #include "sim/stack_pool.hpp"
@@ -62,6 +70,9 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
 #else
   static void trampoline_entry(unsigned hi, unsigned lo);
 #endif
+  /// Runs the body, then destroys it on this stack: nothing the body
+  /// captured (a shared_ptr that leads back to this fiber included) lives
+  /// past the finish.
   void run_body();
   /// Returns the stack to the pool; the engine calls this as soon as the
   /// fiber finishes (its context will never be resumed again), so churning
@@ -91,8 +102,17 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
   std::shared_ptr<StackPool> pool_;
   void* stack_base_ = nullptr;  // mmap'd region including guard page
   size_t stack_total_ = 0;
+  /// This fiber's entry in the engine's live list (erased at finish).
+  std::list<std::shared_ptr<Fiber>>::iterator live_pos_;
 };
 
 using FiberPtr = std::shared_ptr<Fiber>;
+
+/// Appends `fiber` to an owner's kill list after dropping the entries that
+/// have finished, so the list keeps only fibers a kill can still reach.
+inline void track_unfinished(std::vector<FiberPtr>& list, FiberPtr fiber) {
+  std::erase_if(list, [](const FiberPtr& f) { return f->finished(); });
+  list.push_back(std::move(fiber));
+}
 
 }  // namespace starfish::sim

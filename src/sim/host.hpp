@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/disk.hpp"
 #include "sim/engine.hpp"
@@ -43,18 +42,17 @@ class Host {
   /// Spawns a fiber that belongs to this host (homed on its node); it dies
   /// with the host.
   FiberPtr spawn(std::string fiber_name, std::function<void()> body, Duration delay = 0) {
-    auto f = engine_.spawn_on(node_, name_ + "/" + std::move(fiber_name), std::move(body), delay);
-    fibers_.push_back(f);
-    return f;
+    return engine_.spawn_on(node_, name_ + "/" + std::move(fiber_name), std::move(body), delay);
   }
 
-  /// Fail-stop crash: kill every fiber on the host and go dead.
+  /// Fail-stop crash: kill every live fiber homed on the host's node, in
+  /// spawn order, and go dead. The engine tracks them, so the host keeps
+  /// no list of its own.
   void crash() {
     if (!alive_) return;
     alive_ = false;
     ++incarnation_;
-    for (auto& f : fibers_) engine_.kill(f);
-    fibers_.clear();
+    engine_.kill_node(node_);
   }
 
   /// Brings a crashed host back (empty: a rebooted node rejoins the cluster
@@ -74,7 +72,6 @@ class Host {
   NodeId node_;
   bool alive_ = true;
   uint32_t incarnation_ = 0;
-  std::vector<FiberPtr> fibers_;
 };
 
 using HostPtr = std::shared_ptr<Host>;

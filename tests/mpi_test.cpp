@@ -184,6 +184,36 @@ TEST(P2P, RendezvousUnexpectedRts) {
   EXPECT_EQ(got_size, 10'000u);
 }
 
+TEST(P2P, RendezvousIsendHelpersAreFreed) {
+  // Above the eager threshold each isend progresses on a helper fiber. Once
+  // its send completes the helper must leave the engine: 1000 rounds end
+  // with exactly the fibers that were live before them.
+  constexpr int kRounds = 1000;
+  World w(2, net::TransportKind::kBipMyrinet, ProcConfig{.eager_threshold = 1024});
+  size_t live_before = 0;
+  size_t live_after = 0;
+  int received = 0;
+  w.run_app([&](uint32_t rank, Proc& p) {
+    if (rank == 0) {
+      live_before = w.eng.live_fibers();
+      for (int i = 0; i < kRounds; ++i) {
+        Request r = p.isend(kWorldCommId, 1, 0, blob(4096, static_cast<uint8_t>(i)));
+        (void)p.wait(r);
+      }
+      live_after = w.eng.live_fibers();
+      p.send(kWorldCommId, 1, 1, text("fin"));  // rank 1 stays live until here
+    } else {
+      for (int i = 0; i < kRounds; ++i) {
+        if (p.recv(kWorldCommId, 0, 0).size() == 4096) ++received;
+      }
+      (void)p.recv(kWorldCommId, 0, 1);
+    }
+  });
+  EXPECT_EQ(received, kRounds);
+  EXPECT_GT(live_before, 0u);
+  EXPECT_EQ(live_after, live_before);
+}
+
 TEST(P2P, NonBlockingSendRecvOverlap) {
   World w(2);
   std::string got1, got2;

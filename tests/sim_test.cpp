@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,12 +131,21 @@ TEST(Engine, KillRunningFiberThrowsAtNextBlock) {
 }
 
 TEST(Engine, KillBeforeStartNeverRuns) {
+  // Its start event retires it instead: the body's captures and the stack
+  // go then.
   Engine eng;
   bool ran = false;
-  auto f = eng.spawn("late", [&] { ran = true; }, seconds(5));
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = token;
+  auto f = eng.spawn("late", [&ran, token] { ran = true; }, seconds(5));
+  token.reset();
   eng.schedule(seconds(1), [&] { eng.kill(f); });
   eng.run();
   EXPECT_FALSE(ran);
+  EXPECT_TRUE(f->finished());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(eng.live_fibers(), 0u);
+  EXPECT_EQ(eng.stack_pool().outstanding(), 0u);
 }
 
 TEST(Engine, BlockUntilTimesOut) {
@@ -335,6 +345,54 @@ TEST(Engine, KillSelfFromInsideFiber) {
   EXPECT_TRUE(self_holder->finished());
 }
 
+// ------------------------------------------------------ fiber ownership ----
+
+TEST(Engine, FinishedFiberDropsItsCaptures) {
+  // The caller keeps the FiberPtr; the body's captures must still die at
+  // the finish, not with the last FiberPtr.
+  Engine eng;
+  auto token = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = token;
+  const FiberPtr f = eng.spawn("holder", [&eng, token] { eng.sleep(milliseconds(1)); });
+  token.reset();
+  EXPECT_EQ(eng.live_fibers(), 1u);
+  EXPECT_FALSE(watch.expired());  // the body holds it while the fiber runs
+  eng.run();
+  EXPECT_TRUE(f->finished());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(eng.live_fibers(), 0u);
+}
+
+TEST(Engine, BodyThatReachesItsOwnFiberIsFreedAtFinish) {
+  // body -> holder -> fiber -> body, as when a helper fiber's captured
+  // request state points back at the helper.
+  Engine eng;
+  std::weak_ptr<Fiber> watch;
+  {
+    auto holder = std::make_shared<FiberPtr>();
+    *holder = eng.spawn("cyclic", [&eng, holder] { eng.sleep(milliseconds(1)); });
+    watch = *holder;
+  }
+  EXPECT_FALSE(watch.expired());
+  eng.run();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(eng.live_fibers(), 0u);
+}
+
+TEST(Engine, ShutdownRetiresEveryLiveFiber) {
+  Engine eng;
+  std::vector<FiberPtr> fibers;
+  fibers.push_back(eng.spawn("blocked", [&eng] { (void)eng.block(); }));
+  fibers.push_back(eng.spawn("unstarted", [] {}, seconds(10)));
+  fibers.push_back(eng.spawn("done", [] {}));
+  eng.run_for(milliseconds(1));
+  EXPECT_EQ(eng.live_fibers(), 2u);
+  eng.shutdown();
+  EXPECT_EQ(eng.live_fibers(), 0u);
+  for (const FiberPtr& f : fibers) EXPECT_TRUE(f->finished());
+  EXPECT_EQ(eng.stack_pool().outstanding(), 0u);
+}
+
 // ---------------------------------------------------------- Mutex / CV ----
 
 TEST(Mutex, MutualExclusionAcrossBlockingPoints) {
@@ -490,6 +548,43 @@ TEST(Host, CrashKillsItsFibers) {
   EXPECT_EQ(victim_progress, 3);
   EXPECT_EQ(survivor_progress, 10);
   EXPECT_EQ(host.incarnation(), 1u);
+}
+
+TEST(Host, CrashUnwindsLiveFibersInSpawnOrder) {
+  // Finished fibers sit between the live ones, and a fiber of another node
+  // between those: the crash must unwind exactly the host's live fibers,
+  // in the order they were spawned.
+  Engine eng;
+  Host host(eng, 0, "node0", default_machine());
+  std::vector<std::string> unwound;
+  struct Unwind {
+    std::vector<std::string>& log;
+    std::string name;
+    ~Unwind() { log.push_back(name); }
+  };
+  auto victim = [&](const std::string& name) {
+    return [&, name] {
+      Unwind guard{unwound, name};
+      eng.sleep(seconds(100));
+    };
+  };
+  host.spawn("v0", victim("v0"));
+  host.spawn("f1", [] {});
+  bool other_done = false;
+  eng.spawn("other", [&] {
+    eng.sleep(milliseconds(10));
+    other_done = true;
+  });
+  host.spawn("v2", victim("v2"));
+  host.spawn("f3", [] {});
+  host.spawn("v4", victim("v4"));
+  eng.run_for(milliseconds(1));
+  EXPECT_EQ(eng.live_fibers(), 4u);  // v0, other, v2, v4
+  eng.schedule(0, [&] { host.crash(); });
+  eng.run();
+  EXPECT_EQ(unwound, (std::vector<std::string>{"v0", "v2", "v4"}));
+  EXPECT_TRUE(other_done);
+  EXPECT_EQ(eng.live_fibers(), 0u);
 }
 
 TEST(Host, RebootAllowsNewFibers) {
